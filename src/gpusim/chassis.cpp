@@ -1,5 +1,9 @@
 #include "gpusim/chassis.hpp"
 
+#include <string>
+#include <utility>
+
+#include "interconnect/collective.hpp"
 #include "sim/sync.hpp"
 
 namespace rsd::gpu {
@@ -150,144 +154,21 @@ SimDuration Chassis::transfer_cost(int src, int dst, Bytes bytes, SimDuration* r
   return cost;
 }
 
-sim::Task<> Chassis::ring_over(std::vector<int> members, Bytes bytes_per_gpu, NameRef name) {
-  const int k = static_cast<int>(members.size());
-  if (k <= 1) co_return;
-  const Bytes chunk = bytes_per_gpu / static_cast<Bytes>(k);
-
-  // 2(k-1) phases: reduce-scatter then allgather. Phases are bulk
-  // synchronous: every pairwise transfer of a phase completes before the
-  // next phase starts (ring neighbors exchange in lockstep).
-  const int phases = 2 * (k - 1);
-  for (int phase = 0; phase < phases; ++phase) {
-    const std::string phase_tag = "_p" + std::to_string(phase);
-    const NameRef send_name{name.str() + "_send" + phase_tag};
-    const NameRef recv_name{name.str() + "_recv" + phase_tag};
-    sim::WaitGroup wg{sched_};
-    wg.add(k);
-    for (int i = 0; i < k; ++i) {
-      const int src = members[static_cast<std::size_t>(i)];
-      const int dst = members[static_cast<std::size_t>((i + 1) % k)];
-      spawn_transfer(src, dst, chunk, send_name, recv_name, wg);
-    }
-    co_await wg.wait();
-  }
-}
-
-sim::Task<> Chassis::ring_allreduce(Bytes bytes_per_gpu, int participants, NameRef name) {
-  RSD_ASSERT(participants >= 1);
-  RSD_ASSERT(participants <= size());
-  std::vector<int> members(static_cast<std::size_t>(participants));
-  for (int i = 0; i < participants; ++i) members[static_cast<std::size_t>(i)] = i;
-  return ring_over(std::move(members), bytes_per_gpu, name);
-}
-
-sim::Task<> Chassis::tree_allreduce(Bytes bytes_per_gpu, int participants, NameRef name) {
-  RSD_ASSERT(participants >= 1);
-  RSD_ASSERT(participants <= size());
-  if (participants == 1) co_return;
-
-  int rounds = 0;
-  while ((1 << rounds) < participants) ++rounds;
-
-  // Binomial reduce towards device 0, then binomial broadcast back out;
-  // every transfer moves the full payload and rounds are bulk-synchronous
-  // (a reduction needs both of its operands).
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int step = 0; step < rounds; ++step) {
-      const int r = pass == 0 ? step : rounds - 1 - step;
-      const int stride = 1 << r;
-      const std::string tag = (pass == 0 ? "_reduce_r" : "_bcast_r") + std::to_string(r);
-      const NameRef send_name{name.str() + "_send" + tag};
-      const NameRef recv_name{name.str() + "_recv" + tag};
-      sim::WaitGroup wg{sched_};
-      for (int i = stride; i < participants; i += 2 * stride) {
-        const int lo = i - stride;
-        const int src = pass == 0 ? i : lo;
-        const int dst = pass == 0 ? lo : i;
-        wg.add(1);
-        spawn_transfer(src, dst, bytes_per_gpu, send_name, recv_name, wg);
-      }
-      if (wg.count() > 0) co_await wg.wait();
-    }
-  }
-}
-
-sim::Task<> Chassis::hierarchical_allreduce(Bytes bytes_per_gpu, int participants,
-                                            NameRef name) {
-  RSD_ASSERT(participants >= 1);
-  RSD_ASSERT(participants <= size());
-  if (participants == 1) co_return;
-
-  // Group participants by their topology chassis tag, in device order.
-  std::vector<std::vector<int>> groups;
-  {
-    std::vector<int> tag_of;
-    for (int i = 0; i < participants; ++i) {
-      const int tag = topo_.node(topo_.device(i)).chassis;
-      std::size_t g = 0;
-      for (; g < tag_of.size(); ++g) {
-        if (tag_of[g] == tag) break;
-      }
-      if (g == tag_of.size()) {
-        tag_of.push_back(tag);
-        groups.emplace_back();
-      }
-      groups[g].push_back(i);
-    }
-  }
-
-  const NameRef intra_name{name.str() + "_intra"};
-  const NameRef inter_name{name.str() + "_inter"};
-
-  // Stage 1: ring allreduce inside every group, all groups concurrent.
-  {
-    sim::WaitGroup wg{sched_};
-    for (const auto& members : groups) {
-      if (members.size() < 2) continue;
-      wg.add(1);
-      sched_.spawn([](Chassis& self, std::vector<int> group, Bytes bytes, NameRef nm,
-                      sim::WaitGroup& group_wg) -> sim::Task<> {
-        co_await self.ring_over(std::move(group), bytes, nm);
-        group_wg.done();
-      }(*this, members, bytes_per_gpu, intra_name, wg));
-    }
-    if (wg.count() > 0) co_await wg.wait();
-  }
-
-  // Stage 2: ring allreduce across the group leaders.
-  std::vector<int> leaders;
-  leaders.reserve(groups.size());
-  for (const auto& members : groups) leaders.push_back(members.front());
-  co_await ring_over(std::move(leaders), bytes_per_gpu, inter_name);
-
-  // Stage 3: leaders fan the reduced payload back out to their groups;
-  // the leaders' D2H engines serialise the copies.
-  {
-    const NameRef send_name{name.str() + "_bcast_send"};
-    const NameRef recv_name{name.str() + "_bcast_recv"};
-    sim::WaitGroup wg{sched_};
-    for (const auto& members : groups) {
-      for (std::size_t m = 1; m < members.size(); ++m) {
-        wg.add(1);
-        spawn_transfer(members.front(), members[m], bytes_per_gpu, send_name, recv_name, wg);
-      }
-    }
-    if (wg.count() > 0) co_await wg.wait();
-  }
-}
-
 sim::Task<> Chassis::allreduce(net::Algorithm algorithm, Bytes bytes_per_gpu,
                                int participants, NameRef name) {
-  switch (algorithm) {
-    case net::Algorithm::kRing:
-      return ring_allreduce(bytes_per_gpu, participants, name);
-    case net::Algorithm::kTree:
-      return tree_allreduce(bytes_per_gpu, participants, name);
-    case net::Algorithm::kHierarchical:
-      return hierarchical_allreduce(bytes_per_gpu, participants, name);
-  }
-  throw Error{ErrorCode::kInvalidArgument, "Chassis::allreduce: unknown algorithm"};
+  return net::run_schedule(
+      sched_, net::allreduce_schedule(algorithm, topo_, participants, bytes_per_gpu),
+      // Copy names are interned once per step index, not per transfer.
+      [this, name, names = std::vector<std::pair<NameRef, NameRef>>{}](
+          const net::Transfer& t, int step, sim::WaitGroup& wg) mutable {
+        while (static_cast<int>(names.size()) <= step) {
+          const std::string tag = "_p" + std::to_string(names.size());
+          names.emplace_back(NameRef{name.str() + "_send" + tag},
+                             NameRef{name.str() + "_recv" + tag});
+        }
+        const auto& [send_name, recv_name] = names[static_cast<std::size_t>(step)];
+        spawn_transfer(t.src, t.dst, t.bytes, send_name, recv_name, wg);
+      });
 }
 
 }  // namespace rsd::gpu

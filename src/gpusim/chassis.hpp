@@ -3,15 +3,19 @@
 // engines — the executable version of the Discussion's claim that
 // chassis-coupled GPUs accelerate CPU-asynchronous collectives.
 //
-// Since the link-graph machine model landed, the chassis no longer prices
-// a transfer off one scalar: it builds a `net::Topology` for its fabric
-// (full mesh by default — NVLink is all-to-all inside a chassis) and takes
-// every transfer's duration from the routed path (path latency +
-// serialisation at the bottleneck link). Endpoint contention is modeled by
-// the devices' FIFO D2H/H2D engines; an optical-circuit fabric
-// additionally charges the reconfiguration delay whenever a sender's
-// circuit has to retarget. On the default full mesh this reproduces the
-// old `fabric.latency + bytes/bandwidth` arithmetic exactly.
+// The chassis builds a `net::Topology` for its fabric (full mesh by
+// default — NVLink is all-to-all inside a chassis). An allreduce is the
+// same `net::CollectiveSchedule` that `net::measure_allreduce` runs over
+// links (interconnect/collective.hpp), executed by the same
+// `net::run_schedule`; only the launch of one transfer is the chassis'
+// own. A chassis-local transfer takes its duration from the routed path
+// (path latency + serialisation at the bottleneck link) and holds the
+// sender's D2H and receiver's H2D engines for it, so endpoint contention
+// is the engines' FIFO queueing; an optical-circuit fabric additionally
+// charges the reconfiguration delay whenever a sender's circuit has to
+// retarget. On the default full mesh this is exactly
+// `fabric.latency + bytes/bandwidth`. With chassis NICs, a transfer
+// between chassis is store-and-forward through the row `net::Network`.
 #pragma once
 
 #include <memory>
@@ -102,26 +106,13 @@ class Chassis {
   /// outlive the chassis' collectives.
   void set_transfer_log(std::vector<FabricTransferRecord>* log) { transfer_log_ = log; }
 
-  /// Execute a ring allreduce of `bytes_per_gpu` across devices
-  /// [0, participants): 2(participants-1) phases; in each phase every
-  /// participant ships one chunk to its ring neighbor, occupying the
-  /// sender's D2H and the receiver's H2D engine for the routed transfer
-  /// time. Resumes when the collective completes on every device.
-  sim::Task<> ring_allreduce(Bytes bytes_per_gpu, int participants,
-                             NameRef name = NameRef{"allreduce"});
-
-  /// Binomial-tree allreduce (reduce to device 0, broadcast back):
-  /// 2*ceil(log2 participants) rounds of the full payload.
-  sim::Task<> tree_allreduce(Bytes bytes_per_gpu, int participants,
-                             NameRef name = NameRef{"allreduce"});
-
-  /// Hierarchical allreduce: ring inside each chassis group (topology
-  /// chassis tags), ring across the group leaders, then leaders broadcast
-  /// the result back to their groups.
-  sim::Task<> hierarchical_allreduce(Bytes bytes_per_gpu, int participants,
-                                     NameRef name = NameRef{"allreduce"});
-
-  /// Dispatch on `algorithm` (the wl replay hook).
+  /// Allreduce `bytes_per_gpu` across devices [0, participants): runs
+  /// `net::allreduce_schedule` over this chassis' topology, every transfer
+  /// occupying the sender's D2H and the receiver's H2D engine. The copies
+  /// of phase k are named `<name>_send_p<k>` / `<name>_recv_p<k>` (k counts
+  /// the steps of the enclosing sub-schedule). Resumes when the collective
+  /// completes on every device. Throws rsd::Error{kInvalidArgument} when
+  /// participants < 1 or exceeds size().
   sim::Task<> allreduce(net::Algorithm algorithm, Bytes bytes_per_gpu, int participants,
                         NameRef name = NameRef{"allreduce"});
 
@@ -146,9 +137,6 @@ class Chassis {
   /// record carrying the NIC-leg window.
   sim::Task<> networked_transfer(int src, int dst, Bytes bytes, NameRef send_name,
                                  NameRef recv_name, sim::WaitGroup& wg);
-
-  /// Phased ring allreduce over an explicit member list (device indices).
-  sim::Task<> ring_over(std::vector<int> members, Bytes bytes_per_gpu, NameRef name);
 
   sim::Scheduler& sched_;
   ChassisParams params_;

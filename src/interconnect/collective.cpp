@@ -1,15 +1,103 @@
 #include "interconnect/collective.hpp"
 
-#include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
 
 #include "core/error.hpp"
-#include "sim/scheduler.hpp"
-#include "sim/sync.hpp"
 
 namespace rsd::net {
 
 namespace {
+
+/// Reduce-scatter then allgather over `ranks`: 2(n-1) phases, every rank
+/// shipping one bytes/n chunk to its ring successor per phase.
+void append_ring(CollectiveSchedule& out, const std::vector<int>& ranks, Bytes bytes_per_rank) {
+  const std::size_t n = ranks.size();
+  if (n <= 1) return;
+  const Bytes chunk = bytes_per_rank / static_cast<Bytes>(n);
+  for (std::size_t phase = 0; phase < 2 * (n - 1); ++phase) {
+    std::vector<Transfer>& transfers = out.steps.emplace_back().phase;
+    transfers.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      transfers.push_back(Transfer{ranks[i], ranks[(i + 1) % n], chunk});
+    }
+  }
+}
+
+/// Binomial reduce towards rank 0: in round r, every surviving rank at an
+/// odd multiple of 2^r ships the full payload to its partner 2^r below
+/// (a reduction needs both operands, so rounds are phases). The broadcast
+/// mirrors the rounds in reverse. Every round of n >= 2 ranks has a sender.
+void append_tree(CollectiveSchedule& out, int n, Bytes bytes_per_rank) {
+  int rounds = 0;
+  while ((1 << rounds) < n) ++rounds;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int step = 0; step < rounds; ++step) {
+      const int stride = 1 << (pass == 0 ? step : rounds - 1 - step);
+      std::vector<Transfer>& transfers = out.steps.emplace_back().phase;
+      for (int i = stride; i < n; i += 2 * stride) {
+        transfers.push_back(pass == 0 ? Transfer{i, i - stride, bytes_per_rank}
+                                      : Transfer{i - stride, i, bytes_per_rank});
+      }
+    }
+  }
+}
+
+/// Ring inside every chassis (concurrently), ring across the chassis
+/// leaders, then each leader fans the reduced payload out to its chassis;
+/// the shared leader uplink serialises those copies.
+void append_hierarchical(CollectiveSchedule& out, const Topology& topology, int n,
+                         Bytes bytes_per_rank) {
+  // std::map: groups in ascending chassis-tag order, deterministic.
+  std::map<int, std::vector<int>> groups;
+  for (int rank = 0; rank < n; ++rank) {
+    groups[topology.node(topology.device(rank)).chassis].push_back(rank);
+  }
+
+  CollectiveSchedule::Step intra;
+  for (const auto& [tag, members] : groups) {
+    if (members.size() >= 2) append_ring(intra.fork.emplace_back(), members, bytes_per_rank);
+  }
+  if (!intra.fork.empty()) out.steps.push_back(std::move(intra));
+
+  std::vector<int> leaders;
+  leaders.reserve(groups.size());
+  for (const auto& [tag, members] : groups) leaders.push_back(members.front());
+  append_ring(out, leaders, bytes_per_rank);
+
+  CollectiveSchedule::Step fan_out;
+  for (const auto& [tag, members] : groups) {
+    for (std::size_t m = 1; m < members.size(); ++m) {
+      fan_out.phase.push_back(Transfer{members.front(), members[m], bytes_per_rank});
+    }
+  }
+  if (!fan_out.phase.empty()) out.steps.push_back(std::move(fan_out));
+}
+
+sim::Task<> run_steps(sim::Scheduler& sched, const CollectiveSchedule& schedule,
+                      const TransferLauncher& launch);
+
+sim::Task<> run_branch(sim::Scheduler& sched, const CollectiveSchedule& branch,
+                       const TransferLauncher& launch, sim::WaitGroup& wg) {
+  co_await run_steps(sched, branch, launch);
+  wg.done();
+}
+
+sim::Task<> run_steps(sim::Scheduler& sched, const CollectiveSchedule& schedule,
+                      const TransferLauncher& launch) {
+  for (std::size_t s = 0; s < schedule.steps.size(); ++s) {
+    const CollectiveSchedule::Step& step = schedule.steps[s];
+    sim::WaitGroup wg{sched};
+    wg.add(static_cast<std::int64_t>(step.phase.size() + step.fork.size()));
+    RSD_ASSERT(wg.count() > 0);  // an empty step would never join
+    for (const Transfer& t : step.phase) launch(t, static_cast<int>(s), wg);
+    for (const CollectiveSchedule& branch : step.fork) {
+      sched.spawn(run_branch(sched, branch, launch, wg));
+    }
+    co_await wg.wait();
+  }
+}
 
 sim::Task<> counted_transfer(Network& network, int src, int dst, Bytes bytes,
                              sim::WaitGroup& wg) {
@@ -19,134 +107,47 @@ sim::Task<> counted_transfer(Network& network, int src, int dst, Bytes bytes,
 
 }  // namespace
 
-sim::Task<> ring_allreduce(Network& network, std::vector<int> ranks, Bytes bytes_per_rank) {
-  const int n = static_cast<int>(ranks.size());
-  if (n <= 1) co_return;
-  sim::Scheduler& sched = network.scheduler();
-  const Bytes chunk = bytes_per_rank / static_cast<Bytes>(n);
-  // Reduce-scatter then allgather: 2(n-1) bulk-synchronous phases, every
-  // rank shipping one chunk to its ring successor per phase.
-  const int phases = 2 * (n - 1);
-  for (int phase = 0; phase < phases; ++phase) {
-    sim::WaitGroup wg{sched};
-    wg.add(n);
-    for (int i = 0; i < n; ++i) {
-      sched.spawn(counted_transfer(network, ranks[static_cast<std::size_t>(i)],
-                                   ranks[static_cast<std::size_t>((i + 1) % n)], chunk, wg));
-    }
-    co_await wg.wait();
+CollectiveSchedule allreduce_schedule(Algorithm algorithm, const Topology& topology,
+                                      int participants, Bytes bytes_per_rank) {
+  if (participants < 1 || participants > topology.device_count()) {
+    throw Error{ErrorCode::kInvalidArgument,
+                "net::allreduce_schedule: " + std::to_string(participants) +
+                    " participants, but the topology has " +
+                    std::to_string(topology.device_count()) + " devices"};
   }
+  CollectiveSchedule schedule;
+  switch (algorithm) {
+    case Algorithm::kRing: {
+      std::vector<int> ranks(static_cast<std::size_t>(participants));
+      for (int i = 0; i < participants; ++i) ranks[static_cast<std::size_t>(i)] = i;
+      append_ring(schedule, ranks, bytes_per_rank);
+      return schedule;
+    }
+    case Algorithm::kTree:
+      append_tree(schedule, participants, bytes_per_rank);
+      return schedule;
+    case Algorithm::kHierarchical:
+      append_hierarchical(schedule, topology, participants, bytes_per_rank);
+      return schedule;
+  }
+  throw Error{ErrorCode::kInvalidArgument, "net::allreduce_schedule: unknown algorithm"};
 }
 
-sim::Task<> tree_allreduce(Network& network, std::vector<int> ranks, Bytes bytes_per_rank) {
-  const int n = static_cast<int>(ranks.size());
-  if (n <= 1) co_return;
-  sim::Scheduler& sched = network.scheduler();
-  int rounds = 0;
-  while ((1 << rounds) < n) ++rounds;
-
-  // Binomial reduce towards ranks[0]: in round r, every surviving rank at
-  // an odd multiple of 2^r ships the full payload to its partner 2^r
-  // below. Rounds are bulk-synchronous (reduction needs both operands).
-  for (int r = 0; r < rounds; ++r) {
-    const int stride = 1 << r;
-    sim::WaitGroup wg{sched};
-    int sends = 0;
-    for (int i = stride; i < n; i += 2 * stride) {
-      ++sends;
-      wg.add(1);
-      sched.spawn(counted_transfer(network, ranks[static_cast<std::size_t>(i)],
-                                   ranks[static_cast<std::size_t>(i - stride)],
-                                   bytes_per_rank, wg));
-    }
-    if (sends > 0) co_await wg.wait();
-  }
-
-  // Binomial broadcast back down: mirror rounds in reverse order.
-  for (int r = rounds - 1; r >= 0; --r) {
-    const int stride = 1 << r;
-    sim::WaitGroup wg{sched};
-    int sends = 0;
-    for (int i = stride; i < n; i += 2 * stride) {
-      ++sends;
-      wg.add(1);
-      sched.spawn(counted_transfer(network, ranks[static_cast<std::size_t>(i - stride)],
-                                   ranks[static_cast<std::size_t>(i)], bytes_per_rank, wg));
-    }
-    if (sends > 0) co_await wg.wait();
-  }
-}
-
-sim::Task<> hierarchical_allreduce(Network& network, std::vector<int> ranks,
-                                   Bytes bytes_per_rank) {
-  const int n = static_cast<int>(ranks.size());
-  if (n <= 1) co_return;
-  sim::Scheduler& sched = network.scheduler();
-
-  // Group by chassis tag (std::map: deterministic ascending-tag order).
-  std::map<int, std::vector<int>> groups;
-  for (const int rank : ranks) {
-    groups[network.topology().node(network.topology().device(rank)).chassis].push_back(rank);
-  }
-
-  // Stage 1: ring allreduce inside every chassis, all chassis concurrent.
-  {
-    sim::WaitGroup wg{sched};
-    for (const auto& [tag, members] : groups) {
-      if (members.size() < 2) continue;
-      wg.add(1);
-      sched.spawn([](Network& net, std::vector<int> group, Bytes bytes,
-                     sim::WaitGroup& group_wg) -> sim::Task<> {
-        co_await ring_allreduce(net, std::move(group), bytes);
-        group_wg.done();
-      }(network, members, bytes_per_rank, wg));
-    }
-    if (wg.count() > 0) co_await wg.wait();
-  }
-
-  // Stage 2: ring allreduce across the chassis leaders.
-  std::vector<int> leaders;
-  leaders.reserve(groups.size());
-  for (const auto& [tag, members] : groups) leaders.push_back(members.front());
-  co_await ring_allreduce(network, leaders, bytes_per_rank);
-
-  // Stage 3: leaders fan the reduced payload back out to their chassis;
-  // the shared leader uplink serialises the copies via link contention.
-  {
-    sim::WaitGroup wg{sched};
-    for (const auto& [tag, members] : groups) {
-      for (std::size_t m = 1; m < members.size(); ++m) {
-        wg.add(1);
-        sched.spawn(
-            counted_transfer(network, members.front(), members[m], bytes_per_rank, wg));
-      }
-    }
-    if (wg.count() > 0) co_await wg.wait();
-  }
+sim::Task<> run_schedule(sim::Scheduler& sched, CollectiveSchedule schedule,
+                         TransferLauncher launch) {
+  // The frame owns the schedule and launcher; fork branches borrow them
+  // and always finish before this frame resumes past their join.
+  co_await run_steps(sched, schedule, launch);
 }
 
 sim::Task<> run_allreduce(Network& network, Algorithm algorithm, Bytes bytes_per_rank,
                           int participants) {
-  if (participants < 1) {
-    throw Error{ErrorCode::kInvalidArgument, "net::run_allreduce: participants must be >= 1"};
-  }
-  if (participants > network.topology().device_count()) {
-    throw Error{ErrorCode::kInvalidArgument,
-                "net::run_allreduce: " + std::to_string(participants) +
-                    " participants exceed the topology's " +
-                    std::to_string(network.topology().device_count()) + " devices"};
-  }
-  std::vector<int> ranks(static_cast<std::size_t>(participants));
-  for (int i = 0; i < participants; ++i) ranks[static_cast<std::size_t>(i)] = i;
-  switch (algorithm) {
-    case Algorithm::kRing:
-      return ring_allreduce(network, std::move(ranks), bytes_per_rank);
-    case Algorithm::kTree:
-      return tree_allreduce(network, std::move(ranks), bytes_per_rank);
-    case Algorithm::kHierarchical:
-      return hierarchical_allreduce(network, std::move(ranks), bytes_per_rank);
-  }
-  throw Error{ErrorCode::kInvalidArgument, "net::run_allreduce: unknown algorithm"};
+  return run_schedule(
+      network.scheduler(),
+      allreduce_schedule(algorithm, network.topology(), participants, bytes_per_rank),
+      [&network](const Transfer& t, int /*step*/, sim::WaitGroup& wg) {
+        network.scheduler().spawn(counted_transfer(network, t.src, t.dst, t.bytes, wg));
+      });
 }
 
 AllreduceReport measure_allreduce(const Topology& topology, Algorithm algorithm,

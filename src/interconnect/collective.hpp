@@ -1,47 +1,90 @@
-// Event-driven collectives over a modeled link network.
+// Allreduce as data, and the one executor that runs it.
 //
-// These are the scheduled counterparts of the closed-form alpha-beta
-// formulas in gpusim/collective.hpp: each algorithm decomposes an
-// allreduce into individual point-to-point transfers and schedules them
-// over `net::Network` links with FIFO contention, so fabric shape,
-// shared-link queueing, and OCS circuit reconfiguration all show up in
-// the result. On an uncontended fabric the ring and tree algorithms
-// reproduce `ring_allreduce_time` / `tree_allreduce_time` exactly — the
-// analytic forms stay as the documented cross-check, asserted by
-// tests/net_collective_test.cpp.
+// `allreduce_schedule` decomposes an allreduce into the point-to-point
+// transfers it generates: a `CollectiveSchedule` is an ordered list of
+// steps, each either one bulk-synchronous phase of (src, dst, bytes)
+// transfers or a fork of sub-schedules that run concurrently and then
+// join. `run_schedule` executes any schedule; its callers differ only in
+// how one transfer is launched:
 //
-//   * ring:         2(n-1) bulk-synchronous neighbour phases moving
-//                   bytes/n chunks (reduce-scatter + allgather);
+//   * `run_allreduce` / `measure_allreduce` move each transfer over
+//     `net::Network` links, so fabric shape, FIFO link contention, and OCS
+//     circuit reconfiguration all show up in the result;
+//   * `gpu::Chassis::allreduce` occupies its devices' copy engines (see
+//     gpusim/chassis.hpp).
+//
+// Over uncontended Network links the scheduled ring and tree reproduce
+// the closed forms `ring_allreduce_time` / `tree_allreduce_time` of
+// gpusim/collective.hpp exactly — those stay as the reference oracle,
+// asserted by tests/net_collective_test.cpp.
+//
+//   * ring:         2(n-1) neighbour phases moving bytes/n chunks
+//                   (reduce-scatter + allgather);
 //   * tree:         binomial reduce to rank 0 then binomial broadcast,
-//                   full payload per transfer, 2*ceil(log2 n) rounds;
-//   * hierarchical: ring allreduce inside each chassis, ring allreduce
-//                   across chassis leaders, then leaders fan the result
-//                   back out — the intra-chassis-then-inter-chassis
-//                   pattern a row of CDI chassis wants.
+//                   full payload per transfer, 2*ceil(log2 n) phases;
+//   * hierarchical: a fork of one ring per chassis (ascending chassis
+//                   tag), a ring across the chassis leaders, then one
+//                   phase in which leaders fan the result back out — the
+//                   intra-chassis-then-inter-chassis pattern a row of CDI
+//                   chassis wants.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/units.hpp"
 #include "interconnect/fabric.hpp"
 #include "interconnect/network.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace rsd::net {
 
-/// Allreduce `bytes_per_rank` across the devices listed in `ranks`
-/// (device indices into the network's topology, all distinct). Resumes
-/// when every rank holds the reduced result.
-sim::Task<> ring_allreduce(Network& network, std::vector<int> ranks, Bytes bytes_per_rank);
-sim::Task<> tree_allreduce(Network& network, std::vector<int> ranks, Bytes bytes_per_rank);
-/// Groups `ranks` by their devices' chassis tags in the topology.
-sim::Task<> hierarchical_allreduce(Network& network, std::vector<int> ranks,
-                                   Bytes bytes_per_rank);
+/// One point-to-point transfer between device indices of the topology.
+struct Transfer {
+  int src = 0;
+  int dst = 0;
+  Bytes bytes = 0;
 
-/// Dispatch on `algorithm` over the first `participants` devices.
-/// Throws rsd::Error{kInvalidArgument} when participants < 1 or exceeds
-/// the topology's device count.
+  friend bool operator==(const Transfer&, const Transfer&) = default;
+};
+
+struct CollectiveSchedule {
+  /// Exactly one of the two lists is non-empty. A phase launches all its
+  /// transfers at once and ends when the last lands; a fork starts every
+  /// sub-schedule at once and joins when the last finishes.
+  struct Step {
+    std::vector<Transfer> phase;
+    std::vector<CollectiveSchedule> fork;
+  };
+  std::vector<Step> steps;
+};
+
+/// Decompose an allreduce of `bytes_per_rank` across devices
+/// [0, participants) of `topology`. Reads only the devices' chassis tags
+/// (hierarchical grouping); never routes. Throws
+/// rsd::Error{kInvalidArgument} when participants < 1 or exceeds the
+/// topology's device count.
+[[nodiscard]] CollectiveSchedule allreduce_schedule(Algorithm algorithm,
+                                                    const Topology& topology,
+                                                    int participants, Bytes bytes_per_rank);
+
+/// Starts one transfer of a phase: spawns exactly one process that moves
+/// the bytes and calls `wg.done()` when they land. `step` is the phase's
+/// index within its (sub-)schedule's steps.
+using TransferLauncher = std::function<void(const Transfer&, int step, sim::WaitGroup& wg)>;
+
+/// Execute `schedule` step by step. A phase launches its transfers in list
+/// order; a fork spawns one process per sub-schedule in list order; both
+/// then wait for everything they started. Resumes after the last step.
+sim::Task<> run_schedule(sim::Scheduler& sched, CollectiveSchedule schedule,
+                         TransferLauncher launch);
+
+/// `allreduce_schedule` over the first `participants` devices, executed on
+/// the network's links. Throws (before any simulated work) as
+/// `allreduce_schedule` does.
 sim::Task<> run_allreduce(Network& network, Algorithm algorithm, Bytes bytes_per_rank,
                           int participants);
 

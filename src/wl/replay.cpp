@@ -19,7 +19,6 @@ struct RunWiring {
   interconnect::SlackInjector* slack = nullptr;
   gpu::CommandPath path;
   gpu::SlackPosition slack_position = gpu::SlackPosition::kAfterCall;
-  net::Algorithm collective = net::Algorithm::kRing;
   bool gate = false;
   /// Multi-chassis nodes: bind each lane's Context onto the chassis' row
   /// network (host endpoint <-> lane device's chassis NIC <-> device).
@@ -94,7 +93,7 @@ sim::Task<> run_lane(const Lane& lane, gpu::Device& device, const RunWiring& wir
                       "wl::ReplayEngine: allreduce op on a single-device node "
                       "(set NodeParams::chassis_gpus)"};
         }
-        co_await wiring.chassis->allreduce(wiring.collective, op.bytes,
+        co_await wiring.chassis->allreduce(net::Algorithm::kRing, op.bytes,
                                            static_cast<int>(op.count), op.name);
         break;
       case OpCode::kLoopBegin:
@@ -180,7 +179,6 @@ ReplayResult ReplayEngine::run(const Program& program, const ReplayOptions& opti
   wiring.slack = options.inject_slack ? &slack : nullptr;
   wiring.path = options.command_path;
   wiring.slack_position = options.slack_position;
-  wiring.collective = node_.collective;
   wiring.gate = program.gate;
   wiring.bind_transport = chassis && chassis->network() != nullptr &&
                           chassis->host_node() != net::kInvalidNode;

@@ -38,23 +38,21 @@ namespace rsd::wl {
 /// device behind `link` (PCIe gen4 x16 when unset); > 0 builds a CDI
 /// chassis of that many devices on `fabric` (lanes pick devices by index).
 /// The chassis' GPU<->GPU traffic is routed over a `net::Topology` of
-/// shape `fabric_kind`; `kAllReduce` ops execute as the event-driven
-/// `collective` algorithm scheduled over that machine model.
+/// shape `fabric_kind`; `kAllReduce` ops execute as the chassis' ring
+/// allreduce scheduled over that machine model.
 struct NodeParams {
   gpu::DeviceParams device_params{};
   std::optional<interconnect::LinkParams> link{};
   int chassis_gpus = 0;
   gpu::GpuInterconnect fabric = gpu::make_nvlink();
   net::FabricKind fabric_kind = net::FabricKind::kFullMesh;
-  net::Algorithm collective = net::Algorithm::kRing;
   /// > 0 (with chassis_gpus set): build a true multi-chassis machine graph
   /// — per-chassis NICs, inter-chassis fibre, a CDI host endpoint — and
   /// bind every lane's Context onto it, so memcpy payloads, injected
   /// slack, and cross-chassis collective chunks all route through the
   /// event-driven `net::Network` (FIFO contention, OCS circuits, express
-  /// path). 0 keeps the flat chassis: the tag groups devices for the
-  /// hierarchical algorithm but emits no extra nodes, and replay timing is
-  /// byte-identical to before the transport seam.
+  /// path). 0 keeps the flat chassis, which emits no extra nodes, and
+  /// replay timing is byte-identical to before the transport seam.
   int gpus_per_chassis = 0;
 };
 

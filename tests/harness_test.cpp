@@ -141,7 +141,7 @@ TEST(GlobalRegistry, FleetIsCompleteAndWellFormed) {
        {"table1_lammps_baseline", "fig2_lammps_scaling", "fig3_slack_sweep",
         "fig4_kernel_durations", "fig5_memcpy_sizes", "table2_proxy_calibration",
         "table3_transfer_binning", "table4_slack_penalty", "model_validation",
-        "micro_substrates"}) {
+        "perf_sim_core"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
 }
@@ -232,7 +232,7 @@ TEST(Cli, ListIsStableAndEnumeratesTheFleet) {
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("fig3_slack_sweep"), std::string::npos);
   EXPECT_NE(first.find("table4_slack_penalty"), std::string::npos);
-  EXPECT_NE(first.find("micro_substrates"), std::string::npos);
+  EXPECT_NE(first.find("perf_sim_core"), std::string::npos);
   EXPECT_NE(first.find("experiment(s)"), std::string::npos);
 }
 

@@ -1,10 +1,15 @@
-// Event-driven collectives vs the closed-form alpha-beta models: on an
-// uncontended fabric the scheduled ring/tree algorithms must reproduce
-// gpu::ring_allreduce_time / gpu::tree_allreduce_time to the nanosecond —
-// the analytic forms stay in the tree as this cross-check.
+// Allreduce schedules as data (every rank ends with every contribution),
+// and the event-driven collectives vs the closed-form alpha-beta models:
+// on an uncontended fabric the scheduled ring/tree algorithms must
+// reproduce gpu::ring_allreduce_time / gpu::tree_allreduce_time to the
+// nanosecond — the analytic forms stay in the tree as this cross-check.
 #include "interconnect/collective.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "gpusim/collective.hpp"
@@ -22,6 +27,89 @@ FabricParams fabric_params(FabricKind kind) {
   params.kind = kind;
   params.gpus = kGpus;
   return params;
+}
+
+/// Bit r of knows[i]: rank i holds rank r's contribution.
+using Knowledge = std::vector<std::uint32_t>;
+
+/// Apply `schedule` without simulating it. In a phase every dst learns
+/// what its src knew when the phase began; fork branches each start from
+/// the fork's state and must touch disjoint ranks. Returns the number of
+/// transfers applied.
+std::size_t apply(const CollectiveSchedule& schedule, Knowledge& knows) {
+  std::size_t transfers = 0;
+  for (const CollectiveSchedule::Step& step : schedule.steps) {
+    EXPECT_NE(step.phase.empty(), step.fork.empty()) << "a step is one phase or one fork";
+    const Knowledge start = knows;
+    for (const Transfer& t : step.phase) {
+      EXPECT_NE(t.src, t.dst);
+      knows.at(static_cast<std::size_t>(t.dst)) |= start.at(static_cast<std::size_t>(t.src));
+      ++transfers;
+    }
+    std::vector<bool> claimed(knows.size(), false);
+    for (const CollectiveSchedule& branch : step.fork) {
+      EXPECT_FALSE(branch.steps.empty()) << "an empty branch only costs a spawn";
+      Knowledge mine = start;
+      transfers += apply(branch, mine);
+      for (std::size_t r = 0; r < knows.size(); ++r) {
+        if (mine[r] == start[r]) continue;
+        EXPECT_FALSE(claimed[r]) << "two fork branches wrote rank " << r;
+        claimed[r] = true;
+        knows[r] = mine[r];
+      }
+    }
+  }
+  return transfers;
+}
+
+TEST(NetSchedule, EveryRankEndsWithEveryContribution) {
+  for (const int n : {1, 2, 3, 5, 8, 12, 16}) {
+    for (const int width : {1, 4, 8}) {  // 5 at 4 and 12 at 8 leave an uneven last chassis
+      FabricParams params = fabric_params(FabricKind::kFullMesh);
+      params.gpus = n;
+      params.gpus_per_chassis = width;
+      const Topology topo = build_fabric(params);
+      for (const Algorithm algorithm :
+           {Algorithm::kRing, Algorithm::kTree, Algorithm::kHierarchical}) {
+        SCOPED_TRACE(std::string{to_string(algorithm)} + " n=" + std::to_string(n) +
+                     " width=" + std::to_string(width));
+        const std::uint64_t builds = topo.route_table_builds();
+        const std::uint64_t hits = topo.route_table_hits();
+        const CollectiveSchedule schedule = allreduce_schedule(algorithm, topo, n, kPayload);
+        // The builder reads chassis tags only; it never routes.
+        EXPECT_EQ(topo.route_table_builds(), builds);
+        EXPECT_EQ(topo.route_table_hits(), hits);
+
+        Knowledge knows(static_cast<std::size_t>(n));
+        for (int r = 0; r < n; ++r) knows[static_cast<std::size_t>(r)] = 1u << r;
+        const std::size_t transfers = apply(schedule, knows);
+        for (int r = 0; r < n; ++r) {
+          EXPECT_EQ(knows[static_cast<std::size_t>(r)], (1u << n) - 1) << "rank " << r;
+        }
+        const auto un = static_cast<std::size_t>(n);
+        if (algorithm == Algorithm::kRing) {
+          EXPECT_EQ(transfers, 2 * un * (un - 1));
+        } else if (algorithm == Algorithm::kTree) {
+          EXPECT_EQ(transfers, 2 * (un - 1));
+        }
+      }
+    }
+  }
+}
+
+TEST(NetSchedule, RejectsBadParticipantCountsNamingThem) {
+  const Topology topo = build_fabric(fabric_params(FabricKind::kFullMesh));
+  for (const int participants : {0, -3, kGpus + 1}) {
+    try {
+      (void)allreduce_schedule(Algorithm::kHierarchical, topo, participants, kPayload);
+      ADD_FAILURE() << participants << " participants accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+      EXPECT_NE(std::string{e.what()}.find(std::to_string(participants) + " participants"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 gpu::GpuInterconnect analytic_link(const FabricParams& params) {
@@ -75,6 +163,23 @@ TEST(NetCollective, HierarchicalSingleChassisIsRingPlusFanOut) {
   const gpu::GpuInterconnect link = analytic_link(params);
   const SimDuration fan_out = gpu::detail::transfer(link, static_cast<double>(kPayload));
   EXPECT_EQ(report.duration, gpu::ring_allreduce_time(kPayload, kGpus, link) + fan_out);
+  EXPECT_EQ(report.contended_transfers, 0u);
+}
+
+TEST(NetCollective, HierarchicalChassisRingsRunConcurrently) {
+  // Two chassis of four on the full mesh: the two intra-chassis rings
+  // overlap on disjoint links, so the total is one 4-rank ring, the
+  // two-leader ring, and one concurrent fan-out round.
+  FabricParams params = fabric_params(FabricKind::kFullMesh);
+  params.gpus_per_chassis = kGpus / 2;
+  const Topology topo = build_fabric(params);
+  const AllreduceReport report =
+      measure_allreduce(topo, Algorithm::kHierarchical, kPayload, kGpus);
+
+  const gpu::GpuInterconnect link = analytic_link(params);
+  EXPECT_EQ(report.duration, gpu::ring_allreduce_time(kPayload, kGpus / 2, link) +
+                                 gpu::ring_allreduce_time(kPayload, 2, link) +
+                                 gpu::detail::transfer(link, static_cast<double>(kPayload)));
   EXPECT_EQ(report.contended_transfers, 0u);
 }
 

@@ -12,10 +12,10 @@ namespace {
 
 using namespace rsd::literals;
 
-ProxyConfig quick(std::int64_t n, int threads, SimDuration slack) {
+ProxyConfig quick(std::int64_t n, std::int64_t threads, SimDuration slack) {
   ProxyConfig cfg;
   cfg.matrix_n = n;
-  cfg.threads = threads;
+  cfg.threads = static_cast<int>(threads);
   cfg.slack = slack;
   cfg.max_iterations = 20;
   return cfg;
@@ -24,9 +24,14 @@ ProxyConfig quick(std::int64_t n, int threads, SimDuration slack) {
 // ---------------------------------------------------------------------
 // Property: for every (size, threads) cell that fits, the Eq.1-normalized
 // runtime at slack 0 is exactly 1 and runs are deterministic.
+//
+// Parameter structs keep every field 64-bit so they have no padding:
+// gtest prints a struct without operator<< as its raw bytes, the ctest
+// name is built from that dump, and indeterminate padding bytes would
+// give the same case a different name on every build.
 struct CellParam {
   std::int64_t n;
-  int threads;
+  std::int64_t threads;
 };
 
 class ProxyCell : public testing::TestWithParam<CellParam> {};
@@ -95,7 +100,7 @@ INSTANTIATE_TEST_SUITE_P(Slacks, SizeOrdering, testing::Values(1, 10, 100, 1000,
 // Property: Equation 1 always removes exactly calls * slack, for any cell.
 struct Eq1Param {
   std::int64_t n;
-  int threads;
+  std::int64_t threads;
   std::int64_t slack_us;
 };
 
