@@ -228,7 +228,7 @@ RSD_EXPERIMENT(perf_par_des, "perf_par_des", "micro",
   const SimTime row_finish = row.run_training(training);
   const double row_wall_s = seconds_since(row_start);
   auto& row_eng = row.engine();
-  csv.row("row512_finish_ns", row_params.gpus, 0, row_finish.ns(), row_eng.epochs(),
+  csv.row("row512_finish_ns", row_eng.size(), 0, row_finish.ns(), row_eng.epochs(),
           row_eng.messages_delivered(), row_eng.stalled_partition_epochs(),
           std::to_string(row.digest()));
 
@@ -247,7 +247,8 @@ RSD_EXPERIMENT(perf_par_des, "perf_par_des", "micro",
 
   sweep_table.print(ctx.out());
   Table row_table{{"Row metric", "Value"}};
-  row_table.add_row_vec({"GPUs (one partition each)", std::to_string(row_params.gpus)});
+  row_table.add_row_vec({"GPUs", std::to_string(row_params.gpus)});
+  row_table.add_row_vec({"Partitions (one per chassis)", std::to_string(row_eng.size())});
   row_table.add_row_vec({"Engine threads", std::to_string(row_eng.threads())});
   row_table.add_row_vec({"Simulated step finish", format_duration(row_finish - SimTime::zero())});
   row_table.add_row_vec({"Messages exchanged", std::to_string(row_eng.messages_delivered())});

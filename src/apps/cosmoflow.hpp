@@ -83,9 +83,10 @@ struct MultiGpuCosmoflowConfig {
                                                    const CosmoflowCalibration& cal = {});
 
 /// Row-scale data-parallel CosmoFlow on the partitioned engine
-/// (gpu::PartitionedRow): one partition per GPU, the per-step kernel
-/// sequence partition-local, gradients ring-allreduced as cross-partition
-/// messages. This is the path that scales to hundreds of GPUs; the result
+/// (gpu::PartitionedRow): one partition per chassis of 8 GPUs, the
+/// per-step kernel sequence partition-local, gradients ring-allreduced as
+/// local events inside a chassis and as cross-partition messages between
+/// chassis. This is the path that scales to hundreds of GPUs; the result
 /// digest is byte-identical at any `sim_threads`.
 struct RowCosmoflowConfig {
   int gpus = 8;
@@ -104,7 +105,7 @@ struct RowCosmoflowResult {
   SimDuration runtime;      ///< Row finish time (max over ranks).
   std::uint64_t digest;     ///< Per-rank step-completion fingerprint.
   std::uint64_t events;     ///< Aggregate engine events executed.
-  std::uint64_t messages;   ///< Cross-partition chunks exchanged.
+  std::uint64_t messages;   ///< Chunks exchanged between chassis partitions.
 };
 
 [[nodiscard]] RowCosmoflowResult run_cosmoflow_row(const RowCosmoflowConfig& config,

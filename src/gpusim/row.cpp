@@ -40,12 +40,30 @@ SimDuration derive_lookahead(const net::Topology& topo, const RowParams& params)
   return lookahead;
 }
 
+/// Rank -> partition: one partition per chassis, numbered in the order the
+/// devices first name their chassis tags (device_chassis_tags). Flat
+/// fabrics record the `gpus_per_chassis` grouping too, so every row is
+/// partitioned the same way whether its fabric is owned or shared, and
+/// the map never depends on the engine's thread count.
+std::vector<sim::PartitionId> chassis_partitions(const net::Topology& topo, int gpus) {
+  RSD_ASSERT(gpus >= 1);
+  const std::vector<int> tags = topo.device_chassis_tags();
+  std::vector<sim::PartitionId> part(static_cast<std::size_t>(gpus));
+  for (int rank = 0; rank < gpus; ++rank) {
+    const int tag = topo.node(topo.device(rank)).chassis;
+    part[static_cast<std::size_t>(rank)] = static_cast<sim::PartitionId>(
+        std::find(tags.begin(), tags.end(), tag) - tags.begin());
+  }
+  return part;
+}
+
 }  // namespace
 
-/// Partition-local state of one rank. The Device and both semaphores
-/// belong to the rank's partition scheduler; nothing here is ever touched
-/// from another partition (the arrival message below runs *inside* the
-/// destination partition by construction).
+/// Partition-local state of one rank. The Device and the inbound semaphore
+/// belong to the scheduler of the rank's chassis partition, which it
+/// shares with the other ranks of that chassis; nothing here is ever
+/// touched from another partition (the arrival message below runs *inside*
+/// the destination partition by construction).
 struct PartitionedRow::Rank {
   Rank(sim::Scheduler& sched, const DeviceParams& params)
       : dev(sched, params, interconnect::make_pcie_gen4_x16()), inbound(sched, 0) {}
@@ -57,9 +75,11 @@ struct PartitionedRow::Rank {
   std::vector<std::int64_t> step_ends;
 };
 
-/// Cross-partition payload: an allreduce chunk landing at `rank`. Runs in
-/// the destination partition at arrival time; occupies the H2D engine for
-/// the transfer duration, then posts an inbound permit.
+/// Ring payload: an allreduce chunk landing at `rank`. Runs in the rank's
+/// partition at arrival time — as a cross-partition message when the ring
+/// edge leaves the chassis, as a plain local event when it stays inside —
+/// occupies the H2D engine for the transfer duration, then posts an
+/// inbound permit.
 struct RowArrival {
   PartitionedRow* row;
   int rank;
@@ -87,15 +107,14 @@ PartitionedRow::PartitionedRow(RowParams params)
     : params_(std::move(params)),
       owned_topo_(build_row_topology(params_)),
       topo_(params_.topology != nullptr ? params_.topology : &owned_topo_),
-      engine_(params_.gpus, {.threads = params_.sim_threads,
-                             .lookahead = derive_lookahead(*topo_, params_),
-                             .jitter_seed = params_.jitter_seed}) {
-  RSD_ASSERT(params_.gpus >= 1);
-  ranks_.reserve(static_cast<std::size_t>(params_.gpus));
-  for (int i = 0; i < params_.gpus; ++i) {
-    ranks_.emplace_back(
-        new Rank{engine_.partition(static_cast<sim::PartitionId>(i)).scheduler(),
-                 params_.device_params});
+      part_of_(chassis_partitions(*topo_, params_.gpus)),
+      engine_(static_cast<int>(*std::max_element(part_of_.begin(), part_of_.end())) + 1,
+              {.threads = params_.sim_threads,
+               .lookahead = derive_lookahead(*topo_, params_),
+               .jitter_seed = params_.jitter_seed}) {
+  ranks_.reserve(part_of_.size());
+  for (const sim::PartitionId part : part_of_) {
+    ranks_.emplace_back(new Rank{engine_.partition(part).scheduler(), params_.device_params});
   }
 }
 
@@ -126,11 +145,12 @@ std::uint64_t PartitionedRow::digest() const {
 
 sim::Task<> PartitionedRow::rank_loop(int rank, const RowTraining& training) {
   Rank& self = *ranks_[static_cast<std::size_t>(rank)];
-  sim::Partition& part = engine_.partition(static_cast<sim::PartitionId>(rank));
+  sim::Partition& part = engine_.partition(part_of_[static_cast<std::size_t>(rank)]);
   sim::Scheduler& sched = part.scheduler();
   const int ranks = size();
   const int phases = 2 * (ranks - 1);
-  const auto next = static_cast<sim::PartitionId>((rank + 1) % ranks);
+  const int next = (rank + 1) % ranks;
+  const sim::PartitionId next_part = part_of_[static_cast<std::size_t>(next)];
   const NameRef send_name{"row_allreduce_send"};
   const NameRef recv_name{"row_allreduce_recv"};
   // Optical fabrics: this rank's uplink circuit must be pointed at the
@@ -158,8 +178,9 @@ sim::Task<> PartitionedRow::rank_loop(int rank, const RowTraining& training) {
     }
 
     // Ring allreduce as message exchange. Each phase: start the outbound
-    // DMA, post the chunk to the ring neighbor, then wait for both the
-    // inbound chunk and the local DMA drain.
+    // DMA, post the chunk to the ring neighbor (a local event when the
+    // neighbor shares this chassis), then wait for both the inbound chunk
+    // and the local DMA drain.
     for (int phase = 0; phase < phases; ++phase) {
       if (circuit_pending) {
         co_await sim::delay(topo_->ocs_reconfigure());
@@ -177,8 +198,8 @@ sim::Task<> PartitionedRow::rank_loop(int rank, const RowTraining& training) {
         if (auto* sink = rk.dev.record_sink(); sink != nullptr) sink->on_op(rec);
         wg.done();
       }(self, chunk_, edge_transfer, send_name, out_done));
-      part.send(next, edge_delay,
-                RowArrival{this, static_cast<int>(next), chunk_, edge_transfer, recv_name});
+      part.send(next_part, edge_delay,
+                RowArrival{this, next, chunk_, edge_transfer, recv_name});
       co_await self.inbound.acquire();
       co_await out_done.wait();
     }
@@ -223,21 +244,21 @@ SimTime PartitionedRow::run_training(const RowTraining& training) {
     }
     if (params_.lookahead_matrix) {
       // Feed the engine the fabric's distances: the only remote sends are
-      // ring-neighbor chunk posts at that edge's routed path latency, so
-      // the lookahead graph is the rank ring with that bound per edge.
+      // chunk posts over ring edges that leave a chassis, each at that
+      // edge's routed path latency, so the lookahead graph is the chassis
+      // ring with that bound per edge. A one-chassis row declares no edge
+      // and drains in a single epoch.
       std::vector<sim::LookaheadEdge> edges;
-      edges.reserve(n);
-      for (int rank = 0; rank < size(); ++rank) {
-        edges.push_back(sim::LookaheadEdge{
-            static_cast<sim::PartitionId>(rank),
-            static_cast<sim::PartitionId>((rank + 1) % size()),
-            edge_delay_[static_cast<std::size_t>(rank)]});
+      for (std::size_t rank = 0; rank < n; ++rank) {
+        const sim::PartitionId src = part_of_[rank];
+        const sim::PartitionId dst = part_of_[(rank + 1) % n];
+        if (src != dst) edges.push_back(sim::LookaheadEdge{src, dst, edge_delay_[rank]});
       }
       engine_.set_lookahead_edges(edges);
     }
   }
   for (int rank = 0; rank < size(); ++rank) {
-    sim::Partition& part = engine_.partition(static_cast<sim::PartitionId>(rank));
+    sim::Partition& part = engine_.partition(part_of_[static_cast<std::size_t>(rank)]);
     part.spawn([&] { return rank_loop(rank, training); });
   }
   engine_.run();

@@ -2,19 +2,23 @@
 //
 // The sequential `Chassis` couples all of its devices to one Scheduler, so
 // a row-scale composition (hundreds of GPUs) serializes on a single event
-// queue. PartitionedRow assigns each simulated GPU to its own
-// `sim::Partition` — device engines, host submission lane, and all per-rank
-// events stay partition-local — and routes the only inter-GPU interaction,
-// ring-allreduce chunk exchange, through timestamped cross-partition
-// messages.
+// queue. PartitionedRow gives each chassis of the row its own
+// `sim::Partition`, using the chassis tags the row's topology records
+// (flat fabrics group `gpus_per_chassis` GPUs per tag): the devices, host
+// submission lanes and per-rank events of a chassis share that
+// partition's scheduler, as the devices of a `Chassis` do. The only
+// inter-GPU interaction, ring-allreduce chunk exchange, is a plain local
+// event between two ranks of one chassis and a timestamped cross-partition
+// message on a ring edge that leaves the chassis — a 512-GPU row at 8 GPUs
+// per chassis runs on 64 partitions, and a row of one chassis on one.
 //
 // The row's interconnect is a pluggable `net::Topology` (ring, full mesh,
 // electrical switch, or optical circuit switch — net::build_fabric built
 // from `fabric_kind` and the link characteristics in `fabric`). The
 // conservative lookahead is the topology's minimum device-to-device path
 // latency: no chunk can arrive sooner than the shortest routed path
-// delivers it, which is exactly the slack the engine needs to run ranks in
-// parallel. A topology with a zero-latency device path cannot bound
+// delivers it, which is exactly the slack the engine needs to run chassis
+// in parallel. A topology with a zero-latency device path cannot bound
 // message arrival and is rejected with rsd::Error{kInvalidArgument}.
 //
 // Timing model per ring phase (chunk = bytes / ranks):
@@ -59,7 +63,8 @@ struct RowParams {
   /// reproduces the pre-machine-model row timing exactly.
   net::FabricKind fabric_kind = net::FabricKind::kRing;
   /// Chassis grouping recorded in the topology (device i -> chassis
-  /// i / gpus_per_chassis); hierarchical collectives reduce per chassis.
+  /// i / gpus_per_chassis); hierarchical collectives reduce per chassis,
+  /// and the row runs one engine partition per chassis.
   int gpus_per_chassis = 8;
   /// Build the fabric as a true multi-chassis graph (per-chassis NICs +
   /// inter-chassis fibre, net::FabricParams::chassis_nics). Ring edges
@@ -74,8 +79,8 @@ struct RowParams {
   /// Non-zero: seeded worker-claim jitter (determinism stress testing).
   std::uint64_t jitter_seed = 0;
   /// Feed the engine a per-partition-pair lookahead matrix derived from
-  /// the fabric (ring-neighbor edges at the routed path latency) instead
-  /// of the single global lookahead. Identical results either way — the
+  /// the fabric (one edge per chassis-crossing ring edge, at its routed
+  /// path latency) instead of the single global lookahead. Identical results either way — the
   /// matrix only lets epoch horizons advance further (asserted across
   /// fabrics and thread counts by tests/gpusim_row_fabric_test.cpp).
   bool lookahead_matrix = true;
@@ -135,6 +140,7 @@ class PartitionedRow {
   RowParams params_;
   net::Topology owned_topo_;          ///< Built here unless params.topology is set.
   const net::Topology* topo_;         ///< The fabric in use (owned or shared).
+  std::vector<sim::PartitionId> part_of_;  ///< Rank -> its chassis' partition.
   sim::ParallelEngine engine_;
   std::vector<std::unique_ptr<Rank>> ranks_;
   /// Ring-edge pricing, indexed by sender rank (edge rank -> rank+1).

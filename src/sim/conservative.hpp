@@ -138,9 +138,11 @@ class ParallelEngine {
   /// Declare the lookahead-edge matrix and switch horizon computation to
   /// distance-aware mode. Every remote send must then travel a declared
   /// edge with at least that edge's lookahead of delay (asserted in
-  /// send()); duplicate edges keep the smaller bound. Call before run().
+  /// send()); duplicate edges keep the smaller bound. An empty list is
+  /// legal: no partition can then receive a message, every horizon is
+  /// infinite, and run() drains all local work in one epoch. Call before
+  /// run().
   void set_lookahead_edges(const std::vector<LookaheadEdge>& edges) {
-    RSD_ASSERT(!edges.empty());
     const std::size_t n = parts_.size();
     constexpr std::int64_t kNoEdge = std::numeric_limits<std::int64_t>::max();
     edge_min_ns_.assign(n * n, kNoEdge);
@@ -345,10 +347,11 @@ class ParallelEngine {
         }
       }
     }
-    const SimTime base = t_min + duration::nanoseconds(min_edge_ns_);
     for (std::size_t j = 0; j < n; ++j) {
       slots_[j].horizon = arrive_[j];
+      // A finite arrival implies a declared edge, so min_edge_ns_ is finite.
       if (arrive_[j] != SimTime::max()) {
+        const SimTime base = t_min + duration::nanoseconds(min_edge_ns_);
         horizon_gain_ns_ += static_cast<std::uint64_t>((arrive_[j] - base).ns());
       }
     }

@@ -1,13 +1,15 @@
 // PartitionedRow under each pluggable fabric: the digest must be
 // byte-identical at any worker-thread count, the ring and full-mesh
 // fabrics must coincide (one hop either way for ring-successor traffic),
-// and a fabric whose device paths have zero latency must be rejected —
-// it cannot bound cross-partition message arrival.
+// a fabric whose device paths have zero latency must be rejected — it
+// cannot bound cross-partition message arrival — and the one-partition-
+// per-chassis engine must reproduce the tracked row timings exactly.
 #include "gpusim/row.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/error.hpp"
@@ -18,12 +20,12 @@ namespace {
 
 using namespace rsd::literals;
 
-RowTraining small_training() {
+RowTraining small_training(int steps = 2) {
   RowTraining training;
   training.kernels = {RowKernel{NameRef{"fwd"}, 50_us}, RowKernel{NameRef{"bwd"}, 100_us}};
   training.submit_cost = 2_us;
   training.gradient_bytes = 32 * kMiB;
-  training.steps = 2;
+  training.steps = steps;
   return training;
 }
 
@@ -182,6 +184,61 @@ TEST(RowFabric, SharedTopologyMatchesOwned) {
       const SimTime finish = row.run_training(small_training());
       EXPECT_EQ(row.digest(), owned.digest) << net::to_string(kind);
       EXPECT_EQ(finish, owned.finish) << net::to_string(kind);
+    }
+  }
+}
+
+TEST(RowFabric, ChassisPartitionsKeepTrackedTiming) {
+  // One training step per row, as fabric_compare and multichassis_contention
+  // run it: digest and finish time must equal the tracked CSV cells at any
+  // worker-thread count. The engine runs one partition per chassis, and
+  // only ring edges that leave a chassis carry engine messages — one such
+  // edge per chassis, each used in all 2(n-1) allreduce phases.
+  struct Case {
+    net::FabricKind kind;
+    int gpus;
+    int gpus_per_chassis;
+    bool chassis_nics;
+    std::uint64_t digest;
+    std::int64_t finish_ns;
+  };
+  using enum net::FabricKind;
+  const std::vector<Case> cases{
+      // bench_results/fabric_compare.csv, row_step rows.
+      {kRing, 32, 8, false, 15856204977110917413ULL, 968834},
+      {kRing, 128, 8, false, 15585052406540032805ULL, 2512030},
+      {kFullMesh, 32, 8, false, 15856204977110917413ULL, 968834},
+      {kFullMesh, 128, 8, false, 15585052406540032805ULL, 2512030},
+      {kElectricalSwitch, 32, 8, false, 1906219906433733413ULL, 1231714},
+      {kElectricalSwitch, 128, 8, false, 4418463621448747813ULL, 3588990},
+      {kOpticalCircuit, 32, 8, false, 469693093416858405ULL, 1322784},
+      {kOpticalCircuit, 128, 8, false, 7688324762554302757ULL, 3633980},
+      // bench_results/multichassis_contention.csv, multichassis row_step rows.
+      {kRing, 128, 4, true, 11156306652983668517ULL, 4522088},
+      {kRing, 128, 8, true, 16113397458629373093ULL, 4522088},
+  };
+  for (const Case& c : cases) {
+    for (const int threads : {1, 4}) {
+      RowParams params;
+      params.gpus = c.gpus;
+      params.fabric_kind = c.kind;
+      params.gpus_per_chassis = c.gpus_per_chassis;
+      params.chassis_nics = c.chassis_nics;
+      params.sim_threads = threads;
+      PartitionedRow row{params};
+      const SimTime finish = row.run_training(small_training(1));
+      const std::string label = std::string{net::to_string(c.kind)} + " " +
+                                std::to_string(c.gpus) + " GPUs, " +
+                                std::to_string(c.gpus_per_chassis) + "/chassis" +
+                                (c.chassis_nics ? " + NICs" : "") + ", " +
+                                std::to_string(threads) + " threads";
+      EXPECT_EQ(row.digest(), c.digest) << label;
+      EXPECT_EQ(finish.ns(), c.finish_ns) << label;
+      const int chassis = c.gpus / c.gpus_per_chassis;
+      EXPECT_EQ(row.engine().size(), chassis) << label;
+      EXPECT_EQ(row.engine().messages_delivered(),
+                static_cast<std::uint64_t>(chassis) * 2 * (c.gpus - 1))
+          << label;
     }
   }
 }

@@ -93,7 +93,7 @@ TEST(ParDesDeterminism, Fig3GoldenHashHoldsAtSimThreads128) {
 
 TEST(ParDesDeterminism, RowCosmoflowIsIdenticalAtSimThreads128) {
   apps::RowCosmoflowConfig config;
-  config.gpus = 8;
+  config.gpus = 32;  // four chassis partitions: ring edges cross partitions
   config.steps = 2;
 
   config.sim_threads = 1;
@@ -137,7 +137,7 @@ TEST(ParDesDeterminism, EnvOverrideMatchesExplicitWidth) {
 // simulation, never of which OS thread ran a partition.
 TEST(ParDesDeterminism, SimulatedTraceJsonIsByteIdenticalAtSimThreads128) {
   apps::RowCosmoflowConfig config;
-  config.gpus = 8;
+  config.gpus = 32;  // four chassis partitions: ring edges cross partitions
   config.steps = 2;
 
   auto traced_json = [&config](int sim_threads) {
@@ -169,7 +169,7 @@ TEST(ParDesDeterminism, SimulatedTraceJsonIsByteIdenticalAtSimThreads128) {
 // first.
 TEST(ParDesDeterminism, ClaimJitterDoesNotMoveTheDigest) {
   apps::RowCosmoflowConfig config;
-  config.gpus = 8;
+  config.gpus = 32;  // four chassis partitions: ring edges cross partitions
   config.steps = 2;
   config.sim_threads = 4;
 

@@ -306,6 +306,43 @@ TEST(ParallelEngine, LookaheadMatrixReducesEpochsAndReportsGain) {
   EXPECT_GT(matrix.horizon_gain_ns, 0u);
 }
 
+TEST(ParallelEngine, EmptyLookaheadMatrixDrainsInOneEpoch) {
+  // A one-partition engine (a row of one chassis) declares no edge. No
+  // message can ever arrive, so the horizon is infinite and the first
+  // epoch runs every local event — delays far beyond the global lookahead
+  // and same-partition sends included.
+  const auto run = [](bool matrix, std::uint64_t& epochs) {
+    ParallelEngine eng{1, {.threads = 1, .lookahead = 1_us}};
+    if (matrix) eng.set_lookahead_edges({});
+    EXPECT_EQ(eng.lookahead_matrix(), matrix);
+    Log log;
+    eng.partition(0).spawn([&] {
+      return [](Partition* p, Log* lp) -> Task<> {
+        for (int i = 0; i < 10; ++i) {
+          co_await delay(5_us);
+          p->send(p->id(), SimDuration{1}, CrossCall{[p, lp, i] {
+                    lp->entries.emplace_back(p->scheduler().now().ns(), i);
+                  }});
+        }
+      }(&eng.partition(0), &log);
+    });
+    eng.run();
+    EXPECT_EQ(eng.unfinished_count(), 0u);
+    EXPECT_EQ(eng.messages_delivered(), 0u);
+    epochs = eng.epochs();
+    return log.entries;
+  };
+  std::uint64_t matrix_epochs = 0;
+  std::uint64_t global_epochs = 0;
+  const auto matrix = run(true, matrix_epochs);
+  ASSERT_EQ(matrix.size(), 10u);
+  EXPECT_EQ(matrix.back(), (std::pair<std::int64_t, int>{50'001, 9}));
+  EXPECT_EQ(matrix_epochs, 1u);
+  // The same work under the 1 us global window needs an epoch per delay.
+  EXPECT_EQ(run(false, global_epochs), matrix);
+  EXPECT_GT(global_epochs, 10u);
+}
+
 TEST(ParallelEngine, MatrixMinSendDelayIsPerEdge) {
   ParallelEngine eng{3, {.threads = 1, .lookahead = 1_us}};
   eng.set_lookahead_edges({LookaheadEdge{0, 1, SimDuration{2'000}},
