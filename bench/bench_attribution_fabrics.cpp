@@ -19,10 +19,10 @@
 //     a 32-GPU ring allreduce over each fabric, the scheduled collective
 //     fabric_compare prices.
 //
-// Attributions land in the manifest's "attribution" block (schema v4) and
-// print via `rsd_bench --report`; tools/report.py renders the same data
-// from the manifest afterwards. All quantities are simulated, so the CSVs
-// are byte-identical at any --threads / --sim-threads.
+// Attributions land in the manifest's "attribution" block (schema v4);
+// tools/report.py renders them from the manifest afterwards. All
+// quantities are simulated, so the CSVs are byte-identical at any
+// --threads / --sim-threads.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -83,7 +83,7 @@ RSD_EXPERIMENT(attribution_fabrics, "attribution_fabrics", "extension",
                "compute/reconfig/fabric/queue/wake/idle (components sum exactly),\n"
                "check the slacked replay's wake growth against its own Eq 2-3 band,\n"
                "and record per-link contention heatmaps from the network's usage\n"
-               "samplers. Attributions land in the v4 manifest; see --report.") {
+               "samplers. Attributions land in the v4 manifest; see tools/report.py.") {
   using namespace rsd;
   using namespace rsd::literals;
 

@@ -24,22 +24,6 @@ net::Topology build_row_topology(const RowParams& params) {
   });
 }
 
-/// The engine's conservative lookahead: the shortest routed device-to-
-/// device latency — no cross-partition message can arrive sooner. A
-/// topology with a zero-latency device path cannot bound message arrival
-/// at all, so it is a usage error, not an invariant violation.
-SimDuration derive_lookahead(const net::Topology& topo, const RowParams& params) {
-  const SimDuration lookahead =
-      topo.device_count() >= 2 ? topo.min_device_path_latency() : params.fabric.latency;
-  if (lookahead.ns() <= 0) {
-    throw Error{ErrorCode::kInvalidArgument,
-                "PartitionedRow: fabric '" + std::string{net::to_string(params.fabric_kind)} +
-                    "' has a zero-latency device path; the conservative engine needs a "
-                    "positive minimum link latency for lookahead"};
-  }
-  return lookahead;
-}
-
 /// Rank -> partition: one partition per chassis, numbered in the order the
 /// devices first name their chassis tags (device_chassis_tags). Flat
 /// fabrics record the `gpus_per_chassis` grouping too, so every row is
@@ -103,15 +87,72 @@ struct RowArrival {
 };
 static_assert(sizeof(RowArrival) <= sim::CrossCall::kInlineBytes);
 
+/// Route every ring edge once. Flat fabrics are rank-symmetric, so rank
+/// 0 -> 1 prices every edge (routing each edge of a flat 512-GPU full mesh
+/// would run 512 full Dijkstras over its 261,632 links). Multi-chassis
+/// graphs are not: an edge that crosses a chassis boundary routes over
+/// NIC + fibre while an intra-chassis edge stays on the NVLink-class
+/// links, so every edge is routed on its own. A zero-latency edge cannot
+/// bound message arrival at all, so it is a usage error, not an invariant
+/// violation.
+std::vector<PartitionedRow::RingEdge> PartitionedRow::route_ring(const net::Topology& topo,
+                                                                 const RowParams& params) {
+  const int n = params.gpus;
+  const bool flat = topo.nic_count() == 0;
+  std::vector<RingEdge> ring;
+  if (n < 2) return ring;
+  ring.reserve(static_cast<std::size_t>(n));
+  for (int rank = 0; rank < n; ++rank) {
+    if (flat && rank > 0) {
+      ring.push_back(ring.front());
+      continue;
+    }
+    const net::NodeId src = topo.device(rank);
+    const net::NodeId dst = topo.device((rank + 1) % n);
+    // One lookup per field: fabric_compare's tracked `route_hits` column
+    // counts the row's route() calls.
+    ring.push_back(RingEdge{.latency = topo.route(src, dst).latency,
+                            .optical = topo.route(src, dst).optical_hops > 0});
+    if (ring.back().latency.ns() <= 0) {
+      throw Error{ErrorCode::kInvalidArgument,
+                  "PartitionedRow: fabric '" + std::string{net::to_string(params.fabric_kind)} +
+                      "' has a zero-latency route on ring edge " + std::to_string(rank) +
+                      " -> " + std::to_string((rank + 1) % n) +
+                      "; the conservative engine needs a positive latency on every ring "
+                      "edge for lookahead"};
+    }
+  }
+  return ring;
+}
+
+/// The engine's global bound: the shortest ring edge. A one-GPU row has no
+/// edge and keeps the engine's default.
+SimDuration PartitionedRow::ring_lookahead(const std::vector<RingEdge>& ring) {
+  if (ring.empty()) return sim::ParallelEngine::Options{}.lookahead;
+  return std::ranges::min_element(ring, {}, &RingEdge::latency)->latency;
+}
+
 PartitionedRow::PartitionedRow(RowParams params)
     : params_(std::move(params)),
       owned_topo_(build_row_topology(params_)),
       topo_(params_.topology != nullptr ? params_.topology : &owned_topo_),
       part_of_(chassis_partitions(*topo_, params_.gpus)),
+      ring_(route_ring(*topo_, params_)),
       engine_(static_cast<int>(*std::max_element(part_of_.begin(), part_of_.end())) + 1,
               {.threads = params_.sim_threads,
-               .lookahead = derive_lookahead(*topo_, params_),
+               .lookahead = ring_lookahead(ring_),
                .jitter_seed = params_.jitter_seed}) {
+  // The row's lookahead is its ring edges: the only remote sends are chunk
+  // posts over ring edges that leave a chassis, each at that edge's routed
+  // latency, so the lookahead graph is the chassis ring with that bound per
+  // edge. A one-chassis row declares no edge and drains in a single epoch.
+  std::vector<sim::LookaheadEdge> edges;
+  for (std::size_t rank = 0; rank < ring_.size(); ++rank) {
+    const sim::PartitionId src = part_of_[rank];
+    const sim::PartitionId dst = part_of_[(rank + 1) % ring_.size()];
+    if (src != dst) edges.push_back(sim::LookaheadEdge{src, dst, ring_[rank].latency});
+  }
+  engine_.set_lookahead_edges(edges);
   ranks_.reserve(part_of_.size());
   for (const sim::PartitionId part : part_of_) {
     ranks_.emplace_back(new Rank{engine_.partition(part).scheduler(), params_.device_params});
@@ -155,14 +196,14 @@ sim::Task<> PartitionedRow::rank_loop(int rank, const RowTraining& training) {
   const NameRef recv_name{"row_allreduce_recv"};
   // Optical fabrics: this rank's uplink circuit must be pointed at the
   // ring neighbor before the first chunk leaves; the neighbor never
-  // changes, so the retarget is paid exactly once per rank. (Precomputed
-  // in run_training — the topology's route cache is not touched from
+  // changes, so the retarget is paid exactly once per rank. (Routed
+  // before the run — the topology's route cache is not touched from
   // worker threads.)
-  bool circuit_pending = ranks > 1 && edge_ocs_[static_cast<std::size_t>(rank)];
+  bool circuit_pending = ranks > 1 && ring_[static_cast<std::size_t>(rank)].optical;
   const SimDuration edge_transfer =
       ranks > 1 ? edge_transfer_[static_cast<std::size_t>(rank)] : SimDuration::zero();
   const SimDuration edge_delay =
-      ranks > 1 ? edge_delay_[static_cast<std::size_t>(rank)] : SimDuration::zero();
+      ranks > 1 ? ring_[static_cast<std::size_t>(rank)].latency : SimDuration::zero();
 
   for (int step = 0; step < training.steps; ++step) {
     // Host submission lane + compute: entirely partition-local.
@@ -212,50 +253,18 @@ SimTime PartitionedRow::run_training(const RowTraining& training) {
   RSD_ASSERT(training.steps >= 1);
   chunk_ = size() > 1 ? training.gradient_bytes / static_cast<Bytes>(size())
                       : training.gradient_bytes;
-  if (size() > 1) {
-    const auto n = static_cast<std::size_t>(size());
-    edge_transfer_.resize(n);
-    edge_delay_.resize(n);
-    edge_ocs_.resize(n);
-    if (topo_->nic_count() > 0) {
-      // Multi-chassis graphs are not rank-symmetric: a ring edge that
-      // crosses a chassis boundary routes over NIC + fibre while an
-      // intra-chassis edge stays on the NVLink-class links, so every
-      // edge is priced from its own routed path.
-      for (int rank = 0; rank < size(); ++rank) {
-        const net::NodeId src = topo_->device(rank);
-        const net::NodeId dst = topo_->device((rank + 1) % size());
-        edge_transfer_[static_cast<std::size_t>(rank)] =
-            topo_->transfer_time(src, dst, chunk_);
-        edge_delay_[static_cast<std::size_t>(rank)] = topo_->route(src, dst).latency;
-        edge_ocs_[static_cast<std::size_t>(rank)] =
-            topo_->route(src, dst).optical_hops > 0;
-      }
-    } else {
-      // Ring-neighbor transfer cost from the machine model. All four flat
-      // fabric shapes are rank-symmetric, so rank 0 -> rank 1 prices every
-      // pair; on the default ring this is latency + chunk/bandwidth,
-      // exactly the pre-machine-model arithmetic.
-      edge_transfer_.assign(
-          n, topo_->transfer_time(topo_->device(0), topo_->device(1), chunk_));
-      edge_delay_.assign(n, topo_->route(topo_->device(0), topo_->device(1)).latency);
-      edge_ocs_.assign(
-          n, topo_->route(topo_->device(0), topo_->device(1)).optical_hops > 0);
-    }
-    if (params_.lookahead_matrix) {
-      // Feed the engine the fabric's distances: the only remote sends are
-      // chunk posts over ring edges that leave a chassis, each at that
-      // edge's routed path latency, so the lookahead graph is the chassis
-      // ring with that bound per edge. A one-chassis row declares no edge
-      // and drains in a single epoch.
-      std::vector<sim::LookaheadEdge> edges;
-      for (std::size_t rank = 0; rank < n; ++rank) {
-        const sim::PartitionId src = part_of_[rank];
-        const sim::PartitionId dst = part_of_[(rank + 1) % n];
-        if (src != dst) edges.push_back(sim::LookaheadEdge{src, dst, edge_delay_[rank]});
-      }
-      engine_.set_lookahead_edges(edges);
-    }
+  // Chunk serialisation per ring edge from the machine model; on the
+  // default ring this is latency + chunk/bandwidth, exactly the pre-
+  // machine-model arithmetic. Flat rows share one price, as in route_ring.
+  const bool flat = topo_->nic_count() == 0;
+  edge_transfer_.resize(ring_.size());
+  for (std::size_t rank = 0; rank < ring_.size(); ++rank) {
+    edge_transfer_[rank] =
+        flat && rank > 0
+            ? edge_transfer_.front()
+            : topo_->transfer_time(topo_->device(static_cast<int>(rank)),
+                                   topo_->device(static_cast<int>((rank + 1) % ring_.size())),
+                                   chunk_);
   }
   for (int rank = 0; rank < size(); ++rank) {
     sim::Partition& part = engine_.partition(part_of_[static_cast<std::size_t>(rank)]);

@@ -15,11 +15,12 @@
 // The row's interconnect is a pluggable `net::Topology` (ring, full mesh,
 // electrical switch, or optical circuit switch — net::build_fabric built
 // from `fabric_kind` and the link characteristics in `fabric`). The
-// conservative lookahead is the topology's minimum device-to-device path
-// latency: no chunk can arrive sooner than the shortest routed path
-// delivers it, which is exactly the slack the engine needs to run chassis
-// in parallel. A topology with a zero-latency device path cannot bound
-// message arrival and is rejected with rsd::Error{kInvalidArgument}.
+// row's lookahead is its ring edges: the constructor routes each edge
+// once, and the chassis-crossing ones become the engine's lookahead
+// matrix, each bounded by its routed latency — no chunk can arrive sooner
+// than its edge's path delivers it, which is exactly the slack the engine
+// needs to run chassis in parallel. A ring edge with zero latency cannot
+// bound message arrival and is rejected with rsd::Error{kInvalidArgument}.
 //
 // Timing model per ring phase (chunk = bytes / ranks):
 //   * the sender's D2H engine is occupied for the routed transfer time —
@@ -78,12 +79,6 @@ struct RowParams {
   int sim_threads = 0;
   /// Non-zero: seeded worker-claim jitter (determinism stress testing).
   std::uint64_t jitter_seed = 0;
-  /// Feed the engine a per-partition-pair lookahead matrix derived from
-  /// the fabric (one edge per chassis-crossing ring edge, at its routed
-  /// path latency) instead of the single global lookahead. Identical results either way — the
-  /// matrix only lets epoch horizons advance further (asserted across
-  /// fabrics and thread counts by tests/gpusim_row_fabric_test.cpp).
-  bool lookahead_matrix = true;
   /// Prebuilt fabric topology to share (it must outlive the row and match
   /// the fabric parameters above); null builds a private one. Sharing
   /// keeps the dense route tables warm across rows (fabric_compare builds
@@ -133,22 +128,28 @@ class PartitionedRow {
 
  private:
   struct Rank;
+  /// The route-dependent pricing of ring edge rank -> rank+1.
+  struct RingEdge {
+    SimDuration latency;  ///< Routed path latency: the chunk's flight time.
+    bool optical;         ///< The route crosses an optical circuit.
+  };
   friend struct RowArrival;
 
+  static std::vector<RingEdge> route_ring(const net::Topology& topo, const RowParams& params);
+  static SimDuration ring_lookahead(const std::vector<RingEdge>& ring);
   sim::Task<> rank_loop(int rank, const RowTraining& training);
 
   RowParams params_;
   net::Topology owned_topo_;          ///< Built here unless params.topology is set.
   const net::Topology* topo_;         ///< The fabric in use (owned or shared).
   std::vector<sim::PartitionId> part_of_;  ///< Rank -> its chassis' partition.
+  /// Ring edges indexed by sender rank (empty for a one-GPU row). Flat
+  /// fabrics are rank-symmetric so every entry is equal; multi-chassis
+  /// graphs price chassis-crossing edges over NIC/fibre routes.
+  std::vector<RingEdge> ring_;
   sim::ParallelEngine engine_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  /// Ring-edge pricing, indexed by sender rank (edge rank -> rank+1).
-  /// Flat fabrics are rank-symmetric so every entry is equal; multi-
-  /// chassis graphs price chassis-crossing edges over NIC/fibre routes.
-  std::vector<SimDuration> edge_transfer_;
-  std::vector<SimDuration> edge_delay_;
-  std::vector<bool> edge_ocs_;
+  std::vector<SimDuration> edge_transfer_;  ///< Per ring edge, at chunk_ bytes.
   Bytes chunk_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "harness/cli.hpp"
 
-#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -57,10 +56,6 @@ constexpr const char* kUsage =
     "                     (Chrome/Perfetto) + trace_ops.csv (NSys-style, re-\n"
     "                     importable via trace::import) into DIR; RSD_TRACE=DIR\n"
     "                     in the environment does the same\n"
-    "  --report           after the run, print each experiment's critical-path\n"
-    "                     attribution (where every simulated nanosecond of\n"
-    "                     makespan went); tools/report.py renders the same\n"
-    "                     breakdown from the manifest\n"
     "  --help             this text\n"
     "\n"
     "Name globs use * and ?; a leading 'bench_' is ignored, so old binary\n"
@@ -88,41 +83,6 @@ std::string join(const std::vector<std::string>& items, const char* sep) {
     out += items[i];
   }
   return out;
-}
-
-void print_report(const RunSummary& summary, std::ostream& out) {
-  bool any = false;
-  for (const auto& o : summary.outcomes) {
-    if (o.attribution.empty()) continue;
-    if (!any) out << "\n[report] critical-path attribution\n";
-    any = true;
-    for (const AttributionEntry& e : o.attribution) {
-      const double makespan = static_cast<double>(e.makespan_ns);
-      const auto pct = [&](std::int64_t ns) {
-        return makespan > 0 ? 100.0 * static_cast<double>(ns) / makespan : 0.0;
-      };
-      out << "  " << o.name << "/" << e.label << ": makespan " << std::fixed
-          << std::setprecision(3) << makespan / 1e6 << " ms\n"
-          << "    compute " << std::setprecision(1) << pct(e.compute_ns)
-          << "%  reconfig " << pct(e.reconfig_ns) << "%  nic " << pct(e.nic_ns)
-          << "%  fabric " << pct(e.fabric_ns)
-          << "%  queue " << pct(e.queue_ns) << "%  wake " << pct(e.wake_ns)
-          << "%  idle " << pct(e.idle_ns) << "%\n";
-      if (e.has_band) {
-        out << "    slack share " << std::setprecision(4) << e.slack_share
-            << " vs Eq 2-3 band [" << e.band_lower << ", " << e.band_upper << "]"
-            << (e.slack_share >= e.band_lower && e.slack_share <= e.band_upper
-                    ? ""
-                    : "  (OUTSIDE BAND)")
-            << "\n";
-      }
-    }
-  }
-  if (!any) {
-    out << "\n[report] no attribution recorded (select an experiment that "
-           "records critical-path attributions, e.g. attribution_fabrics)\n";
-  }
-  out.unsetf(std::ios::fixed);
 }
 
 void print_list(const std::vector<const Experiment*>& selected, std::ostream& out) {
@@ -153,7 +113,6 @@ int run_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& 
   std::vector<std::string> tags;
   std::optional<std::string> manifest_path;
   bool list = false;
-  bool report = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -235,8 +194,6 @@ int run_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& 
       const auto v = value("--trace");
       if (!v) return 2;
       options.trace_dir = *v;
-    } else if (arg == "--report") {
-      report = true;
     } else if (!arg.empty() && arg[0] == '-') {
       err << "rsd_bench: unknown option '" << arg << "'\n" << kUsage;
       return 2;
@@ -309,8 +266,6 @@ int run_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& 
           << sim_ids.size() << " traced simulations)\n";
     }
   }
-
-  if (report) print_report(summary, out);
 
   const std::filesystem::path manifest =
       manifest_path ? std::filesystem::path{*manifest_path}

@@ -96,7 +96,7 @@ class ExperimentContext {
   [[nodiscard]] std::vector<std::string> drain_csv_paths();
 
   /// Record a critical-path attribution for the manifest's "attribution"
-  /// block (and the `--report` breakdown). Mirrors save_csv: experiments
+  /// block (tools/report.py renders it). Mirrors save_csv: experiments
   /// record unconditionally so the manifest is deterministic, and the
   /// runner drains per experiment.
   void record_attribution(AttributionEntry entry);

@@ -59,13 +59,15 @@ void add_gpus(Topology& topo, const FabricParams& params) {
   }
 }
 
-/// Wire one fabric shape among a chassis' member GPUs using the same link
-/// rules as the flat builders, and return the node the chassis NIC hangs
-/// off: the switch where the shape has one, the first member otherwise.
-/// Attaching the NIC to a single node keeps it off every intra-chassis
-/// route — a 0.35 us NIC port must not shortcut a 2 us NVLink ring.
+/// Wire one fabric shape among `members` and return the node a chassis NIC
+/// hangs off: the switch where the shape has one, the first member
+/// otherwise. Attaching the NIC to a single node keeps it off every
+/// intra-chassis route — a 0.35 us NIC port must not shortcut a 2 us
+/// NVLink ring. A flat fabric passes every device with `chassis` -1, so
+/// its switch stays untagged and unsuffixed ("eswitch", "ocs").
 NodeId wire_chassis(Topology& topo, const FabricParams& params,
                     const std::vector<NodeId>& members, int chassis) {
+  const std::string suffix = chassis >= 0 ? std::to_string(chassis) : std::string{};
   const int n = static_cast<int>(members.size());
   switch (params.kind) {
     case FabricKind::kRing:
@@ -90,7 +92,7 @@ NodeId wire_chassis(Topology& topo, const FabricParams& params,
       return members.front();
 
     case FabricKind::kElectricalSwitch: {
-      const NodeId sw = topo.add_node(NodeDesc{.name = "eswitch" + std::to_string(chassis),
+      const NodeId sw = topo.add_node(NodeDesc{.name = "eswitch" + suffix,
                                                .kind = NodeKind::kSwitch,
                                                .chassis = chassis,
                                                .forward_latency = params.switch_hop_latency});
@@ -102,7 +104,7 @@ NodeId wire_chassis(Topology& topo, const FabricParams& params,
     }
 
     case FabricKind::kOpticalCircuit: {
-      const NodeId sw = topo.add_node(NodeDesc{.name = "ocs" + std::to_string(chassis),
+      const NodeId sw = topo.add_node(NodeDesc{.name = "ocs" + suffix,
                                                .kind = NodeKind::kSwitch,
                                                .chassis = chassis,
                                                .optical = true});
@@ -226,56 +228,15 @@ Topology build_fabric(const FabricParams& params) {
 
   if (params.chassis_nics) {
     build_multi_chassis(topo, params, chassis_count);
-    if (params.kind == FabricKind::kOpticalCircuit) {
-      topo.set_ocs_reconfigure(params.ocs_reconfigure);
-    }
-    return topo;
+  } else {
+    std::vector<NodeId> devices;
+    devices.reserve(static_cast<std::size_t>(params.gpus));
+    for (int i = 0; i < params.gpus; ++i) devices.push_back(topo.device(i));
+    wire_chassis(topo, params, devices, -1);
   }
-
-  switch (params.kind) {
-    case FabricKind::kRing:
-      // i <-> i+1 mod n; a ring of two collapses to one duplex pair.
-      for (int i = 0; i < params.gpus; ++i) {
-        const int next = (i + 1) % params.gpus;
-        if (next == i) break;                 // single GPU: no links
-        if (params.gpus == 2 && i == 1) break;  // avoid doubling 0 <-> 1
-        topo.add_duplex(topo.device(i), topo.device(next), LinkKind::kNvlink,
-                        params.link_bandwidth_gib_s, params.link_latency);
-      }
-      break;
-
-    case FabricKind::kFullMesh:
-      for (int i = 0; i < params.gpus; ++i) {
-        for (int j = i + 1; j < params.gpus; ++j) {
-          topo.add_duplex(topo.device(i), topo.device(j), LinkKind::kNvlink,
-                          params.link_bandwidth_gib_s, params.link_latency);
-        }
-      }
-      break;
-
-    case FabricKind::kElectricalSwitch: {
-      const NodeId sw = topo.add_node(NodeDesc{.name = "eswitch",
-                                               .kind = NodeKind::kSwitch,
-                                               .forward_latency = params.switch_hop_latency});
-      for (int i = 0; i < params.gpus; ++i) {
-        topo.add_duplex(topo.device(i), sw, LinkKind::kSwitch,
-                        params.link_bandwidth_gib_s, params.link_latency);
-      }
-      break;
-    }
-
-    case FabricKind::kOpticalCircuit: {
-      const NodeId sw = topo.add_node(
-          NodeDesc{.name = "ocs", .kind = NodeKind::kSwitch, .optical = true});
-      for (int i = 0; i < params.gpus; ++i) {
-        topo.add_duplex(topo.device(i), sw, LinkKind::kFibre,
-                        params.link_bandwidth_gib_s, params.link_latency);
-      }
-      topo.set_ocs_reconfigure(params.ocs_reconfigure);
-      break;
-    }
+  if (params.kind == FabricKind::kOpticalCircuit) {
+    topo.set_ocs_reconfigure(params.ocs_reconfigure);
   }
-
   return topo;
 }
 

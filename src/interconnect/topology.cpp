@@ -30,7 +30,6 @@ const char* to_string(LinkKind kind) {
 void Topology::invalidate_routes() {
   rows_.clear();
   source_slot_.assign(nodes_.size(), -1);
-  min_device_latency_ns_ = -1;
 }
 
 NodeId Topology::add_node(NodeDesc desc) {
@@ -247,54 +246,6 @@ SimDuration Topology::transfer_time(NodeId src, NodeId dst, Bytes bytes) const {
   const Path& p = route(src, dst);
   return p.latency + duration::seconds(static_cast<double>(bytes) /
                                        (p.bottleneck_gib_s * static_cast<double>(kGiB)));
-}
-
-SimDuration Topology::min_device_path_latency() const {
-  if (devices_.size() < 2) {
-    throw Error{ErrorCode::kInvalidState,
-                "net::Topology::min_device_path_latency: fewer than two devices"};
-  }
-  // Cached: PartitionedRow and the engine's lookahead matrix both ask, and
-  // the answer only changes when the graph does (invalidate_routes).
-  if (min_device_latency_ns_ >= 0) return duration::nanoseconds(min_device_latency_ns_);
-  // One Dijkstra per source device, stopped at the first *other* device
-  // settled — Dijkstra settles nodes in latency order, so that device is
-  // the source's nearest. All-pairs route() here would be quadratic in
-  // devices times graph size (minutes on a 512-GPU full mesh).
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
-  std::int64_t best = kInf;
-  std::vector<std::int64_t> dist(nodes_.size());
-  for (const NodeId src : devices_) {
-    std::fill(dist.begin(), dist.end(), kInf);
-    std::priority_queue<Frontier, std::vector<Frontier>, std::greater<>> frontier;
-    dist[static_cast<std::size_t>(src)] = 0;
-    frontier.push(Frontier{0, 0, src});
-    while (!frontier.empty()) {
-      const Frontier f = frontier.top();
-      frontier.pop();
-      if (f.latency_ns > dist[static_cast<std::size_t>(f.node)]) continue;
-      if (f.node != src && node(f.node).kind == NodeKind::kGpu) {
-        best = std::min(best, f.latency_ns);
-        break;
-      }
-      if (f.latency_ns >= best) break;  // no nearer device via this source
-      const std::int64_t forward = f.node == src ? 0 : node(f.node).forward_latency.ns();
-      for (const LinkId lid : out_[static_cast<std::size_t>(f.node)]) {
-        const LinkDesc& l = links_[static_cast<std::size_t>(lid)];
-        const std::int64_t cand = f.latency_ns + forward + l.latency.ns();
-        if (cand < dist[static_cast<std::size_t>(l.dst)]) {
-          dist[static_cast<std::size_t>(l.dst)] = cand;
-          frontier.push(Frontier{cand, f.hops + 1, l.dst});
-        }
-      }
-    }
-  }
-  if (best == kInf) {
-    throw Error{ErrorCode::kInvalidState,
-                "net::Topology::min_device_path_latency: devices are unreachable"};
-  }
-  min_device_latency_ns_ = best;
-  return duration::nanoseconds(best);
 }
 
 }  // namespace rsd::net

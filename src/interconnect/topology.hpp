@@ -21,10 +21,7 @@
 // randomized equivalence test (tests/net_fastpath_test.cpp) cross-checks
 // the tables against. Path latency sums link latencies plus the forwarding
 // latency of intermediate nodes (an electrical switch's per-hop cost);
-// path bandwidth is the bottleneck link. `min_device_path_latency()` — the
-// smallest latency any device-to-device message can possibly have — is
-// what `gpu::PartitionedRow` hands the conservative parallel engine as
-// lookahead; it is computed once and cached until the graph changes.
+// path bandwidth is the bottleneck link.
 #pragma once
 
 #include <cstdint>
@@ -167,14 +164,6 @@ class Topology {
   /// on top of contention).
   [[nodiscard]] SimDuration transfer_time(NodeId src, NodeId dst, Bytes bytes) const;
 
-  /// The smallest path latency between any two distinct devices — the
-  /// tightest bound on how soon a device-to-device message can arrive,
-  /// i.e. the conservative lookahead of a partitioned row simulation.
-  /// Computed once and cached until add_node/add_link changes the graph.
-  /// Throws rsd::Error{kInvalidState} with fewer than two devices or when
-  /// some device pair is unreachable.
-  [[nodiscard]] SimDuration min_device_path_latency() const;
-
   /// Circuit reconfiguration delay of every optical switch in this
   /// topology (zero when there is none).
   [[nodiscard]] SimDuration ocs_reconfigure() const { return ocs_reconfigure_; }
@@ -213,7 +202,6 @@ class Topology {
   mutable std::vector<SourceRow> rows_;
   mutable std::uint64_t route_table_hits_ = 0;
   mutable std::uint64_t route_table_builds_ = 0;
-  mutable std::int64_t min_device_latency_ns_ = -1;  ///< Cached; -1 = not computed.
 };
 
 }  // namespace rsd::net

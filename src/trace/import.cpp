@@ -1,8 +1,11 @@
 #include "trace/import.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -61,15 +64,43 @@ gpu::OpKind parse_kind(const std::string& s, std::size_t line_no) {
   fail(line_no, "unknown op kind '" + s + "'");
 }
 
+/// A finite numeric cell. Every integer field is range-checked against
+/// this value before its cast: converting an out-of-range double to an
+/// integer type is undefined behaviour.
 double parse_double(const std::string& s, std::size_t line_no, const char* field) {
+  double v = 0.0;
   try {
     std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
+    v = std::stod(s, &pos);
     if (pos != s.size()) throw std::invalid_argument{s};
-    return v;
   } catch (const std::exception&) {
     fail(line_no, std::string{"bad numeric value '"} + s + "' for " + field);
   }
+  if (!std::isfinite(v)) fail(line_no, "non-finite value '" + s + "' for " + field);
+  return v;
+}
+
+/// An integral cell that `Int` represents exactly: within [lowest, 2^digits).
+template <typename Int>
+Int parse_integral(const std::string& s, std::size_t line_no, const char* field) {
+  const double v = parse_double(s, line_no, field);
+  if (v != std::trunc(v)) fail(line_no, "non-integral value '" + s + "' for " + field);
+  if (v < static_cast<double>(std::numeric_limits<Int>::lowest()) ||
+      v >= std::ldexp(1.0, std::numeric_limits<Int>::digits)) {
+    fail(line_no, "out-of-range value '" + s + "' for " + field);
+  }
+  return static_cast<Int>(v);
+}
+
+/// A non-negative timestamp cell in microseconds, as nanoseconds.
+SimTime parse_time_us(const std::string& s, std::size_t line_no, const char* field) {
+  const double us = parse_double(s, line_no, field);
+  if (us < 0.0) fail(line_no, "negative value '" + s + "' for " + field);
+  const double ns = us * 1e3;
+  if (ns >= std::ldexp(1.0, std::numeric_limits<std::int64_t>::digits)) {
+    fail(line_no, "out-of-range value '" + s + "' for " + field);
+  }
+  return SimTime{static_cast<std::int64_t>(ns)};
 }
 
 }  // namespace
@@ -110,19 +141,14 @@ Trace parse_ops_csv(std::istream& input) {
     gpu::OpRecord op;
     op.kind = parse_kind(cells[columns["kind"]], line_no);
     op.name = cells[columns["name"]];
-    op.context_id =
-        static_cast<int>(parse_double(cells[columns["context"]], line_no, "context"));
+    op.context_id = parse_integral<int>(cells[columns["context"]], line_no, "context");
     if (process_column != columns.end()) {
-      op.process_id =
-          static_cast<int>(parse_double(cells[process_column->second], line_no, "process"));
+      op.process_id = parse_integral<int>(cells[process_column->second], line_no, "process");
     }
-    op.submit = SimTime{static_cast<std::int64_t>(
-        parse_double(cells[columns["submit_us"]], line_no, "submit_us") * 1e3)};
-    op.start = SimTime{static_cast<std::int64_t>(
-        parse_double(cells[columns["start_us"]], line_no, "start_us") * 1e3)};
-    op.end = SimTime{static_cast<std::int64_t>(
-        parse_double(cells[columns["end_us"]], line_no, "end_us") * 1e3)};
-    op.bytes = static_cast<Bytes>(parse_double(cells[columns["bytes"]], line_no, "bytes"));
+    op.submit = parse_time_us(cells[columns["submit_us"]], line_no, "submit_us");
+    op.start = parse_time_us(cells[columns["start_us"]], line_no, "start_us");
+    op.end = parse_time_us(cells[columns["end_us"]], line_no, "end_us");
+    op.bytes = parse_integral<Bytes>(cells[columns["bytes"]], line_no, "bytes");
     if (op.end < op.start) fail(line_no, "end before start");
     trace.add_op(std::move(op));
   }

@@ -1,9 +1,10 @@
 // PartitionedRow under each pluggable fabric: the digest must be
 // byte-identical at any worker-thread count, the ring and full-mesh
 // fabrics must coincide (one hop either way for ring-successor traffic),
-// a fabric whose device paths have zero latency must be rejected — it
-// cannot bound cross-partition message arrival — and the one-partition-
-// per-chassis engine must reproduce the tracked row timings exactly.
+// a ring edge with zero latency must be rejected — it cannot bound
+// cross-partition message arrival — the engine's lookahead matrix must be
+// exactly the chassis-crossing ring edges, and the one-partition-per-
+// chassis engine must reproduce the tracked row timings exactly.
 #include "gpusim/row.hpp"
 
 #include <gtest/gtest.h>
@@ -78,23 +79,93 @@ TEST(RowFabric, SwitchedFabricsDiverge) {
 }
 
 TEST(RowFabric, TopologyLookaheadMatchesShortestDevicePath) {
+  // The engine's global bound is the shortest ring edge: on the switched
+  // row every edge is link + forwarding + link.
   RowParams params;
   params.gpus = 8;
   params.fabric_kind = net::FabricKind::kElectricalSwitch;
   PartitionedRow row{params};
-  EXPECT_EQ(row.topology().min_device_path_latency(),
+  EXPECT_EQ(row.engine().lookahead(), duration::microseconds(4.12));
+  EXPECT_EQ(row.engine().lookahead(),
             params.fabric.latency + duration::microseconds(0.12) + params.fabric.latency);
 }
 
 TEST(RowFabric, ZeroLatencyFabricIsRejected) {
-  RowParams params;
-  params.gpus = 4;
-  params.fabric.latency = SimDuration::zero();
-  try {
-    PartitionedRow row{params};
-    FAIL() << "expected rsd::Error for a zero-latency device path";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  const auto expect_rejected = [](const RowParams& params, const std::string& label) {
+    try {
+      PartitionedRow row{params};
+      ADD_FAILURE() << label << ": expected rsd::Error for a zero-latency ring edge";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << label;
+      EXPECT_NE(std::string{e.what()}.find("ring edge 0 -> 1"), std::string::npos)
+          << label << ": " << e.what();
+    }
+  };
+  RowParams flat;
+  flat.gpus = 4;
+  flat.fabric.latency = SimDuration::zero();
+  expect_rejected(flat, "flat ring");
+
+  // A shared multi-chassis graph whose only zero-latency paths cross
+  // chassis: one GPU per chassis, free NIC and fibre hops.
+  net::FabricParams fparams;
+  fparams.gpus = 4;
+  fparams.gpus_per_chassis = 1;
+  fparams.chassis_nics = true;
+  fparams.nic_latency = SimDuration::zero();
+  fparams.fibre_latency = SimDuration::zero();
+  const net::Topology topo = net::build_fabric(fparams);
+  RowParams shared;
+  shared.gpus = 4;
+  shared.gpus_per_chassis = 1;
+  shared.chassis_nics = true;
+  shared.topology = &topo;
+  expect_rejected(shared, "shared multi-chassis ring");
+}
+
+TEST(RowFabric, LookaheadMatrixIsTheChassisCrossingRingEdges) {
+  // Every row runs on the lookahead matrix. A ring edge that leaves a
+  // chassis is declared at its routed latency; every other pair of
+  // partitions has no edge, so a send between them would be rejected.
+  for (const net::FabricKind kind : net::all_fabric_kinds()) {
+    for (const bool nics : {false, true}) {
+      for (const int gpus : {1, 8, 16}) {
+        constexpr int kPerChassis = 4;
+        RowParams params;
+        params.gpus = gpus;
+        params.fabric_kind = kind;
+        params.gpus_per_chassis = kPerChassis;
+        params.chassis_nics = nics;
+        PartitionedRow row{params};
+        const sim::ParallelEngine& engine = row.engine();
+        const std::string label = std::string{net::to_string(kind)} +
+                                  (nics ? " + NICs, " : " flat, ") + std::to_string(gpus) +
+                                  " GPUs";
+        EXPECT_TRUE(engine.lookahead_matrix()) << label;
+        const int chassis = (gpus + kPerChassis - 1) / kPerChassis;
+        ASSERT_EQ(engine.size(), chassis) << label;
+
+        for (int rank = 0; rank < gpus; ++rank) {
+          const int next = (rank + 1) % gpus;
+          const auto src = static_cast<sim::PartitionId>(rank / kPerChassis);
+          const auto dst = static_cast<sim::PartitionId>(next / kPerChassis);
+          if (src == dst) continue;
+          EXPECT_EQ(engine.min_send_delay(src, dst),
+                    row.topology().route(row.topology().device(rank),
+                                         row.topology().device(next)).latency)
+              << label << ", edge " << rank << " -> " << next;
+        }
+        for (int src = 0; src < chassis; ++src) {
+          for (int dst = 0; dst < chassis; ++dst) {
+            if (dst == src || dst == (src + 1) % chassis) continue;
+            EXPECT_EQ(engine.min_send_delay(static_cast<sim::PartitionId>(src),
+                                            static_cast<sim::PartitionId>(dst)),
+                      SimDuration::max())
+                << label << ", chassis " << src << " -> " << dst;
+          }
+        }
+      }
+    }
   }
 }
 
@@ -130,38 +201,16 @@ TEST(RowFabric, MultiChassisDigestIsThreadCountInvariantAndSlowerThanFlat) {
 }
 
 TEST(RowFabric, SingleGpuRowStillRuns) {
-  // One rank has no cross-partition traffic; the engine falls back to the
-  // link latency as lookahead and the allreduce is a no-op.
-  const RowRun run = run_row(net::FabricKind::kRing, 1, 1);
-  EXPECT_GT(run.finish, SimTime::zero());
-}
-
-TEST(RowFabric, LookaheadMatrixMatchesGlobalLookaheadPerFabric) {
-  // The per-pair lookahead matrix only widens epoch horizons; digests and
-  // finish times must match the single global window on every fabric at
-  // every thread count.
-  for (const net::FabricKind kind : net::all_fabric_kinds()) {
-    RowParams global_params;
-    global_params.gpus = 16;
-    global_params.fabric_kind = kind;
-    global_params.sim_threads = 1;
-    global_params.lookahead_matrix = false;
-    PartitionedRow global_row{global_params};
-    const SimTime global_finish = global_row.run_training(small_training());
-
-    for (const int threads : {1, 2, 8}) {
-      RowParams params;
-      params.gpus = 16;
-      params.fabric_kind = kind;
-      params.sim_threads = threads;
-      params.lookahead_matrix = true;
-      PartitionedRow row{params};
-      const SimTime finish = row.run_training(small_training());
-      EXPECT_EQ(row.digest(), global_row.digest())
-          << net::to_string(kind) << " at " << threads << " threads";
-      EXPECT_EQ(finish, global_finish) << net::to_string(kind);
-    }
-  }
+  // One rank has no ring edge and so no link to price: even a zero link
+  // latency is accepted, the engine declares no lookahead edge, the run
+  // drains in one epoch, and the allreduce is a no-op.
+  RowParams params;
+  params.gpus = 1;
+  params.fabric.latency = SimDuration::zero();
+  PartitionedRow row{params};
+  EXPECT_GT(row.run_training(small_training()), SimTime::zero());
+  EXPECT_EQ(row.engine().epochs(), 1u);
+  EXPECT_EQ(row.engine().messages_delivered(), 0u);
 }
 
 TEST(RowFabric, SharedTopologyMatchesOwned) {

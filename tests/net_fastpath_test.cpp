@@ -211,19 +211,6 @@ TEST(RouteTable, InvalidatedByTopologyMutation) {
   EXPECT_EQ(topo.route(a, b).latency, microseconds(1.0));
 }
 
-TEST(MinDevicePathLatency, CacheInvalidatedByMutation) {
-  Topology topo;
-  const NodeId a = topo.add_node(NodeDesc{.name = "a"});
-  const NodeId b = topo.add_node(NodeDesc{.name = "b"});
-  topo.add_duplex(a, b, LinkKind::kNvlink, 100.0, microseconds(5.0));
-  EXPECT_EQ(topo.min_device_path_latency(), microseconds(5.0));
-  EXPECT_EQ(topo.min_device_path_latency(), microseconds(5.0));  // cached
-
-  const NodeId c = topo.add_node(NodeDesc{.name = "c"});
-  topo.add_duplex(b, c, LinkKind::kNvlink, 100.0, microseconds(2.0));
-  EXPECT_EQ(topo.min_device_path_latency(), microseconds(2.0));
-}
-
 // -- Express-vs-scheduled timing parity -----------------------------------
 
 struct TransferRecord {

@@ -1,6 +1,5 @@
 // Link-graph machine model: graph construction, deterministic routing,
-// fabric factories, and the lookahead bound the partitioned row takes
-// from the topology.
+// and the fabric factories.
 #include "interconnect/topology.hpp"
 
 #include <gtest/gtest.h>
@@ -85,30 +84,6 @@ TEST(Topology, UnreachableRouteThrows) {
   EXPECT_THROW((void)topo.route(b, a), Error);  // directed: no reverse link
 }
 
-TEST(Topology, MinDevicePathLatencyMatchesAllPairsScan) {
-  FabricParams params;
-  params.gpus = 8;
-  for (const FabricKind kind : all_fabric_kinds()) {
-    params.kind = kind;
-    const Topology topo = build_fabric(params);
-    SimDuration best = SimDuration::max();
-    for (int i = 0; i < topo.device_count(); ++i) {
-      for (int j = 0; j < topo.device_count(); ++j) {
-        if (i == j) continue;
-        best = std::min(best, topo.route(topo.device(i), topo.device(j)).latency);
-      }
-    }
-    EXPECT_EQ(topo.min_device_path_latency(), best) << to_string(kind);
-  }
-}
-
-TEST(Topology, MinDevicePathLatencyNeedsTwoDevices) {
-  FabricParams params;
-  params.gpus = 1;
-  const Topology topo = build_fabric(params);
-  EXPECT_THROW((void)topo.min_device_path_latency(), Error);
-}
-
 TEST(Fabric, ShapesHaveExpectedStructure) {
   FabricParams params;
   params.gpus = 8;
@@ -117,7 +92,7 @@ TEST(Fabric, ShapesHaveExpectedStructure) {
   const Topology ring = build_fabric(params);
   EXPECT_EQ(ring.node_count(), 8u);
   EXPECT_EQ(ring.link_count(), 16u);  // 8 duplex neighbor pairs
-  EXPECT_EQ(ring.min_device_path_latency(), params.link_latency);
+  EXPECT_EQ(ring.route(ring.device(0), ring.device(1)).latency, params.link_latency);
 
   params.kind = FabricKind::kFullMesh;
   const Topology mesh = build_fabric(params);
@@ -127,6 +102,9 @@ TEST(Fabric, ShapesHaveExpectedStructure) {
   params.kind = FabricKind::kElectricalSwitch;
   const Topology eswitch = build_fabric(params);
   EXPECT_EQ(eswitch.node_count(), 9u);
+  // A flat fabric's one switch serves the whole row: untagged, unsuffixed.
+  EXPECT_EQ(eswitch.node(8).name, "eswitch");
+  EXPECT_EQ(eswitch.node(8).chassis, -1);
   const Path& via_switch = eswitch.route(eswitch.device(0), eswitch.device(7));
   EXPECT_EQ(via_switch.links.size(), 2u);
   EXPECT_EQ(via_switch.latency,
@@ -134,6 +112,8 @@ TEST(Fabric, ShapesHaveExpectedStructure) {
 
   params.kind = FabricKind::kOpticalCircuit;
   const Topology ocs = build_fabric(params);
+  EXPECT_EQ(ocs.node(8).name, "ocs");
+  EXPECT_EQ(ocs.node(8).chassis, -1);
   EXPECT_EQ(ocs.route(ocs.device(0), ocs.device(7)).optical_hops, 1);
   EXPECT_EQ(ocs.ocs_reconfigure(), params.ocs_reconfigure);
   EXPECT_EQ(eswitch.route(eswitch.device(0), eswitch.device(7)).optical_hops, 0);

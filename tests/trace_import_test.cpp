@@ -4,6 +4,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/error.hpp"
 #include "trace/trace.hpp"
@@ -173,6 +174,39 @@ TEST(TraceImport, ErrorsAreSpecific) {
         "kind,name,context,submit_us,start_us,end_us,bytes\n"
         "kernel,k,0,0,5,2,0\n"};  // end before start
     EXPECT_THROW((void)parse_ops_csv(in), Error);
+  }
+  // Numeric cells are validated before any cast to an integer type; each
+  // rejection names the line and the field.
+  struct BadCell {
+    const char* row;
+    const char* field;
+  };
+  for (const BadCell& bad : {
+           BadCell{"kernel,k,nan,0,0,1,2,0", "context"},
+           BadCell{"kernel,k,0.5,0,0,1,2,0", "context"},
+           BadCell{"kernel,k,3e9,0,0,1,2,0", "context"},
+           BadCell{"kernel,k,0,1.5,0,1,2,0", "process"},
+           BadCell{"kernel,k,0,-3e9,0,1,2,0", "process"},
+           BadCell{"kernel,k,0,0,-1,1,2,0", "submit_us"},
+           BadCell{"kernel,k,0,0,0,-2,2,0", "start_us"},
+           BadCell{"kernel,k,0,0,0,1,1e300,0", "end_us"},
+           BadCell{"kernel,k,0,0,0,1,inf,0", "end_us"},
+           BadCell{"memcpy_h2d,k,0,0,0,1,2,-5", "bytes"},
+           BadCell{"memcpy_h2d,k,0,0,0,1,2,1.5", "bytes"},
+           BadCell{"memcpy_h2d,k,0,0,0,1,2,1e20", "bytes"},
+       }) {
+    std::istringstream in{std::string{"kind,name,context,process,submit_us,start_us,end_us,"
+                                      "bytes\n"} +
+                          bad.row + "\n"};
+    try {
+      (void)parse_ops_csv(in);
+      ADD_FAILURE() << "accepted " << bad.row;
+    } catch (const Error& e) {
+      const std::string what{e.what()};
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << what;
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad.field), std::string::npos) << what;
+    }
   }
 }
 

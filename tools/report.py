@@ -4,10 +4,10 @@
 Usage: report.py MANIFEST.json [EXPERIMENT ...]
 
 Prints, for every experiment that recorded an "attribution" block (all of
-them by default, or just the named ones), the same breakdown `rsd_bench
---report` prints live: per entry the makespan and the percentage of it
-attributed to each critical-path component, plus — for slacked entries —
-the observed slack-wake share against its predicted Eq 2-3 band.
+them by default, or just the named ones), per entry the makespan and the
+percentage of it attributed to each critical-path component, plus — for
+slacked entries — the observed slack-wake share against its predicted
+Eq 2-3 band.
 
 Experiments that drove the partitioned engine or the modeled links also
 get an engine line: epochs, the lookahead-stall fraction (stalled
