@@ -149,7 +149,8 @@ SimDuration Chassis::transfer_cost(int src, int dst, Bytes bytes, SimDuration* r
   if (reconfig != nullptr) *reconfig = retarget;
   if (transfer_log_ != nullptr) {
     transfer_log_->push_back(
-        FabricTransferRecord{src, dst, bytes, sched_.now(), cost, retarget});
+        FabricTransferRecord{src, dst, bytes, sched_.now(), cost, retarget,
+                             /*nic_start=*/SimTime::zero(), /*nic=*/SimDuration::zero()});
   }
   return cost;
 }

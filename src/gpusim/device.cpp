@@ -38,74 +38,118 @@ void MemoryPool::free(Handle handle) {
   free_slots_.push_back(static_cast<std::uint32_t>(idx));
 }
 
-sim::Task<> Engine::execute(OpRecord& rec, SimDuration service) {
-  // Pipelining: the setup overhead is exposed only when the engine had no
-  // work at arrival (nothing to hide it behind).
-  const bool exposed = (queued_ == 0);
-  queue_depth_.observe(queued_);
-  const SimTime arrival = sched_.now();
-  ++queued_;
-  const std::int32_t trace_id = device_.trace_id();
-  if (trace_id >= 0) {
-    obs::Tracer::instance().counter_sim(trace_id, track_, arrival.ns(), "gpu",
-                                        name_ + ".queue", static_cast<double>(queued_));
-  }
-  co_await server_.acquire();
-  sim::SemaphoreGuard guard{server_};
-
+SimDuration Engine::enter_service(OpRecord& rec, bool exposed) {
   const SimDuration wake = device_.begin_op();
   SimDuration switch_cost = SimDuration::zero();
   if (charges_switch_ && last_process_ >= 0 && last_process_ != rec.process_id) {
     switch_cost = device_.params().process_switch;
   }
   last_process_ = rec.process_id;
-  const SimDuration pre = (exposed ? setup_ : SimDuration::zero()) + wake + switch_cost;
   rec.exposed_overhead = exposed ? setup_ : SimDuration::zero();
   rec.wake_penalty = wake;
   rec.switch_penalty = switch_cost;
-  // `start`/`end` bracket the op's *execution*, as a profiler reports it;
-  // setup, wake, and context-switch costs show up as queue delay instead.
-  co_await sim::delay(pre);
-  rec.start = sched_.now();
-  co_await sim::delay(service);
-  rec.end = sched_.now();
+  return rec.exposed_overhead + wake + switch_cost;
+}
+
+void Engine::account(const OpRecord& rec, bool exposed, SimTime arrival) {
   busy_time_ += rec.end - rec.start;
   ++ops_;
   if (exposed) {
     ++exposed_count_;
     exposed_total_ += setup_;
   }
+  const std::int32_t trace_id = device_.trace_id();
+  if (trace_id < 0) return;
+  auto& tracer = obs::Tracer::instance();
+  std::vector<obs::Arg> args;
+  // submit/context ride along so trace::from_timeline can rebuild the
+  // full OpRecord (ns values < 2^53 are exact in a double).
+  args.push_back(obs::Arg::n("submit_ns", static_cast<double>(rec.submit.ns())));
+  args.push_back(obs::Arg::n("context", static_cast<double>(rec.context_id)));
+  if (rec.bytes > 0) args.push_back(obs::Arg::n("bytes", static_cast<double>(rec.bytes)));
+  if (exposed) args.push_back(obs::Arg::n("exposed_us", setup_.seconds() * 1e6));
+  if (rec.wake_penalty > SimDuration::zero()) {
+    args.push_back(obs::Arg::n("wake_us", rec.wake_penalty.seconds() * 1e6));
+  }
+  if (rec.switch_penalty > SimDuration::zero()) {
+    args.push_back(obs::Arg::n("switch_us", rec.switch_penalty.seconds() * 1e6));
+  }
+  tracer.complete_sim(trace_id, track_, rec.start.ns(), (rec.end - rec.start).ns(), "gpu",
+                      rec.name.str(), std::move(args));
+  if (exposed) {
+    tracer.instant_sim(trace_id, track_, arrival.ns(), "gpu", "exposed_launch",
+                       {obs::Arg::n("ns", static_cast<double>(setup_.ns()))});
+  }
+  if (rec.wake_penalty > SimDuration::zero()) {
+    tracer.instant_sim(trace_id, track_, rec.start.ns(), "gpu", "wake_penalty",
+                       {obs::Arg::n("ns", static_cast<double>(rec.wake_penalty.ns()))});
+  }
+}
 
+void Engine::settle_booking(SimTime now) {
+  if (!booking_sample_due_ || busy_until_ > now) return;
+  booking_sample_due_ = false;
+  obs::Tracer::instance().counter_sim(device_.trace_id(), track_, busy_until_.ns(), "gpu",
+                                      name_ + ".queue", static_cast<double>(queued_));
+}
+
+sim::Task<> Engine::execute(OpRecord& rec, SimDuration service) {
+  const SimTime arrival = sched_.now();
+  settle_booking(arrival);
+  // Pipelining: the setup overhead is exposed only when the engine had no
+  // work at arrival (nothing to hide it behind). An outstanding booking is
+  // work: it counts as one queued op.
+  const std::int64_t ahead = queued_ + (busy_until_ > arrival ? 1 : 0);
+  const bool exposed = (ahead == 0);
+  queue_depth_.observe(ahead);
+  ++queued_;
+  const std::int32_t trace_id = device_.trace_id();
+  if (trace_id >= 0) {
+    obs::Tracer::instance().counter_sim(trace_id, track_, arrival.ns(), "gpu",
+                                        name_ + ".queue", static_cast<double>(ahead + 1));
+  }
+  co_await server_.acquire();
+  sim::SemaphoreGuard guard{server_};
+  // A booking holds the engine by timestamp, not by the permit: wait it
+  // out while *holding* the permit, so later arrivals queue FIFO behind
+  // this op exactly as they would behind a scheduled holder.
+  if (busy_until_ > sched_.now()) {
+    co_await sim::delay(busy_until_ - sched_.now());
+    settle_booking(sched_.now());
+  }
+
+  // `start`/`end` bracket the op's *execution*, as a profiler reports it;
+  // setup, wake, and context-switch costs show up as queue delay instead.
+  co_await sim::delay(enter_service(rec, exposed));
+  rec.start = sched_.now();
+  co_await sim::delay(service);
+  rec.end = sched_.now();
   device_.end_op();
   --queued_;
+  account(rec, exposed, arrival);
   if (trace_id >= 0) {
-    auto& tracer = obs::Tracer::instance();
-    std::vector<obs::Arg> args;
-    // submit/context ride along so trace::from_timeline can rebuild the
-    // full OpRecord (ns values < 2^53 are exact in a double).
-    args.push_back(obs::Arg::n("submit_ns", static_cast<double>(rec.submit.ns())));
-    args.push_back(obs::Arg::n("context", static_cast<double>(rec.context_id)));
-    if (rec.bytes > 0) args.push_back(obs::Arg::n("bytes", static_cast<double>(rec.bytes)));
-    if (exposed) args.push_back(obs::Arg::n("exposed_us", setup_.seconds() * 1e6));
-    if (wake > SimDuration::zero()) {
-      args.push_back(obs::Arg::n("wake_us", wake.seconds() * 1e6));
-    }
-    if (switch_cost > SimDuration::zero()) {
-      args.push_back(obs::Arg::n("switch_us", switch_cost.seconds() * 1e6));
-    }
-    tracer.complete_sim(trace_id, track_, rec.start.ns(), (rec.end - rec.start).ns(), "gpu",
-                        rec.name.str(), std::move(args));
-    if (exposed) {
-      tracer.instant_sim(trace_id, track_, arrival.ns(), "gpu", "exposed_launch",
-                         {obs::Arg::n("ns", static_cast<double>(setup_.ns()))});
-    }
-    if (wake > SimDuration::zero()) {
-      tracer.instant_sim(trace_id, track_, rec.start.ns(), "gpu", "wake_penalty",
-                         {obs::Arg::n("ns", static_cast<double>(wake.ns()))});
-    }
-    tracer.counter_sim(trace_id, track_, rec.end.ns(), "gpu", name_ + ".queue",
-                       static_cast<double>(queued_));
+    obs::Tracer::instance().counter_sim(trace_id, track_, rec.end.ns(), "gpu",
+                                        name_ + ".queue", static_cast<double>(queued_));
   }
+}
+
+bool Engine::try_book(OpRecord& rec, SimDuration service) {
+  const SimTime now = sched_.now();
+  if (queued_ > 0 || busy_until_ > now) return false;
+  settle_booking(now);
+  queue_depth_.observe(0);
+  const std::int32_t trace_id = device_.trace_id();
+  if (trace_id >= 0) {
+    obs::Tracer::instance().counter_sim(trace_id, track_, now.ns(), "gpu", name_ + ".queue",
+                                        1.0);
+    booking_sample_due_ = true;
+  }
+  rec.start = now + enter_service(rec, /*exposed=*/true);
+  rec.end = rec.start + service;
+  busy_until_ = rec.end;
+  device_.book_end(rec.end);
+  account(rec, /*exposed=*/true, now);
+  return true;
 }
 
 Device::Device(sim::Scheduler& sched, DeviceParams params, interconnect::Link link)
@@ -121,6 +165,8 @@ Device::Device(sim::Scheduler& sched, DeviceParams params, interconnect::Link li
 }
 
 Device::~Device() {
+  // A booking nobody waited for still owes its end-of-service sample.
+  for (Engine* engine : {&compute_, &h2d_, &d2h_}) engine->settle_booking(SimTime::max());
   const std::int64_t ops = compute_.ops_ + h2d_.ops_ + d2h_.ops_;
   if (ops == 0) return;
   auto& reg = obs::Registry::global();
@@ -171,32 +217,60 @@ SimDuration Device::wake_penalty(SimDuration gap) const {
 }
 
 SimDuration Device::begin_op() {
+  const SimTime now = sched_.now();
+  retire_booked(now);
   SimDuration wake = SimDuration::zero();
   if (busy_ops_ == 0 && warmed_up_) {
-    const SimDuration gap = sched_.now() - idle_since_;
-    wake = wake_penalty(gap);
+    wake = wake_penalty(now - idle_since_);
     if (wake > SimDuration::zero()) {
       ++wake_count_;
       total_wake_ += wake;
     }
   }
   warmed_up_ = true;
-  if (busy_ops_ == 0) busy_since_ = sched_.now();
+  if (busy_ops_ == 0) busy_since_ = now;
   ++busy_ops_;
   return wake;
 }
 
 void Device::end_op() {
+  retire_booked(sched_.now());
+  close_op(sched_.now());
+}
+
+void Device::book_end(SimTime end) {
+  RSD_ASSERT(booked_count_ < booked_ends_.size());
+  std::size_t i = booked_count_++;
+  for (; i > 0 && booked_ends_[i - 1] > end; --i) booked_ends_[i] = booked_ends_[i - 1];
+  booked_ends_[i] = end;
+}
+
+void Device::retire_booked(SimTime now) {
+  std::size_t done = 0;
+  while (done < booked_count_ && booked_ends_[done] <= now) close_op(booked_ends_[done++]);
+  if (done == 0) return;
+  std::copy(booked_ends_.begin() + done, booked_ends_.begin() + booked_count_,
+            booked_ends_.begin());
+  booked_count_ -= done;
+}
+
+void Device::close_op(SimTime at) {
   RSD_ASSERT(busy_ops_ > 0);
   if (--busy_ops_ == 0) {
-    idle_since_ = sched_.now();
-    total_busy_ += sched_.now() - busy_since_;
+    idle_since_ = at;
+    total_busy_ += at - busy_since_;
   }
 }
 
 SimDuration Device::device_busy_time(SimTime now) const {
+  // Booked ops that ended by `now` close here as retire_booked would close
+  // them; every booked op is still counted in busy_ops_.
   SimDuration busy = total_busy_;
-  if (busy_ops_ > 0) busy += now - busy_since_;
+  int in_flight = busy_ops_;
+  for (std::size_t i = 0; i < booked_count_ && booked_ends_[i] <= now; ++i) {
+    if (--in_flight == 0) busy += booked_ends_[i] - busy_since_;
+  }
+  if (in_flight > 0) busy += now - busy_since_;
   return busy;
 }
 

@@ -19,8 +19,26 @@
 // Engines: one compute engine plus one copy engine per direction, matching
 // the paper's observation that H2D/D2H DMAs and kernels proceed in
 // parallel. Streams are in-order; different streams interleave freely.
+//
+// Express occupancy: an op that finds its engine idle (nothing queued, no
+// booking outstanding) has closed-form timing — start = now + exposed
+// setup + wake + switch, end = start + service — so `Engine::try_book`
+// fills its record, tallies and tracer records at arrival and reserves the
+// engine until `end` by timestamp, with no event at all. `execute()` counts
+// an outstanding booking as one queued op and waits it out while holding
+// the engine's permit, so later arrivals queue FIFO behind it exactly as
+// behind a scheduled op (net::Network's express rule). Tie rule: a booking
+// ending at or before `now` is over, so an op arriving exactly at a booked
+// end finds the engine idle — the order in which a scheduled op's own
+// completion event precedes a caller that waited for it. The device
+// retires booked ends lazily, in end-time order, before it next opens or
+// closes an op or reports busy time; same-instant ties across engines are
+// harmless there, since W(0) = 0 and the union of busy intervals does not
+// depend on order. tests/gpusim_device_test.cpp pins booked against
+// scheduled timing field by field.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -123,12 +141,30 @@ class Engine {
   /// start/end/exposed/wake fields. Resumes when the op completes.
   sim::Task<> execute(OpRecord& rec, SimDuration service);
 
+  /// Express occupancy: when the engine is idle, book the op in closed
+  /// form — its record, tallies and tracer records come out exactly as
+  /// execute() would make them, and the engine is reserved until
+  /// `rec.end` — and return true. Returns false, touching nothing, when
+  /// the engine is busy; the caller then co_awaits execute() instead.
+  /// Booked ops count toward busy_time() from the moment they are booked.
+  [[nodiscard]] bool try_book(OpRecord& rec, SimDuration service);
+
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::int64_t queue_length() const { return queued_; }
   [[nodiscard]] SimDuration busy_time() const { return busy_time_; }
 
  private:
   friend class Device;  ///< Metrics flush at device teardown.
+
+  /// Prices an op entering service now, on both paths: opens it on the
+  /// device (wake penalty), charges any process switch, fills the
+  /// record's penalty fields, and returns the delay before `start`.
+  SimDuration enter_service(OpRecord& rec, bool exposed);
+  /// Tallies and tracer records of an op whose start/end are known.
+  void account(const OpRecord& rec, bool exposed, SimTime arrival);
+  /// Emits the queue-depth sample at the end of a finished booking: the
+  /// ops that arrived during it. Deferred because the booking knows its
+  /// end but not who will queue behind it.
+  void settle_booking(SimTime now);
 
   sim::Scheduler& sched_;
   Device& device_;
@@ -137,7 +173,9 @@ class Engine {
   SimDuration setup_;
   bool charges_switch_;
   sim::Semaphore server_;
-  std::int64_t queued_ = 0;
+  std::int64_t queued_ = 0;  ///< Ops inside execute(); bookings not counted.
+  SimTime busy_until_ = SimTime::zero();  ///< End of the latest booking.
+  bool booking_sample_due_ = false;       ///< Tracing: settle_booking pending.
   int last_process_ = -1;
   SimDuration busy_time_ = SimDuration::zero();
   // Local tallies flushed into obs::Registry by ~Device (no per-op atomics).
@@ -208,6 +246,13 @@ class Device {
   /// must pay and marks the device busy.
   [[nodiscard]] SimDuration begin_op();
   void end_op();
+  /// A booked op closes at `end` without an event: remember it, and close
+  /// it when the device next looks at its busy state.
+  void book_end(SimTime end);
+  /// Close every booked op that has ended by `now`, in end-time order.
+  void retire_booked(SimTime now);
+  /// One op leaves service at `at`; the device goes idle with the last one.
+  void close_op(SimTime at);
 
   sim::Scheduler& sched_;
   DeviceParams params_;
@@ -226,6 +271,10 @@ class Device {
   SimDuration total_busy_ = SimDuration::zero();
   std::int64_t wake_count_ = 0;
   SimDuration total_wake_ = SimDuration::zero();
+  /// Ends of booked ops still counted in busy_ops_, ascending; at most one
+  /// per engine, since an engine books only when its last booking is over.
+  std::array<SimTime, 3> booked_ends_{};
+  std::size_t booked_count_ = 0;
 };
 
 }  // namespace rsd::gpu

@@ -1,6 +1,8 @@
 #include "gpusim/row.hpp"
 
 #include <algorithm>
+#include <array>
+#include <memory>
 
 #include "core/error.hpp"
 #include "interconnect/link.hpp"
@@ -41,6 +43,45 @@ std::vector<sim::PartitionId> chassis_partitions(const net::Topology& topo, int 
   return part;
 }
 
+/// FIFO of inbound-chunk drain times, one per unconsumed inbound permit: a
+/// ring over an inline buffer, moved to the heap only if a neighbour runs
+/// further ahead than the buffer holds (the 512-GPU multi-chassis rows
+/// reach 3), so a row of ranks allocates nothing for it.
+class LandingFifo {
+ public:
+  LandingFifo() = default;
+  LandingFifo(const LandingFifo&) = delete;  // buf_ may point into inline_
+  LandingFifo& operator=(const LandingFifo&) = delete;
+
+  void push(SimTime at) {
+    if (size_ == cap_) {
+      auto wider = std::make_unique<SimTime[]>(2 * cap_);
+      for (std::size_t i = 0; i < size_; ++i) wider[i] = buf_[(head_ + i) % cap_];
+      heap_ = std::move(wider);
+      buf_ = heap_.get();
+      cap_ *= 2;
+      head_ = 0;
+    }
+    buf_[(head_ + size_++) % cap_] = at;
+  }
+
+  SimTime pop() {
+    RSD_ASSERT(size_ > 0);
+    const SimTime at = buf_[head_];
+    head_ = (head_ + 1) % cap_;
+    --size_;
+    return at;
+  }
+
+ private:
+  std::array<SimTime, 4> inline_{};
+  std::unique_ptr<SimTime[]> heap_;
+  SimTime* buf_ = inline_.data();
+  std::size_t cap_ = inline_.size();
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 }  // namespace
 
 /// Partition-local state of one rank. The Device and the inbound semaphore
@@ -52,18 +93,28 @@ struct PartitionedRow::Rank {
   Rank(sim::Scheduler& sched, const DeviceParams& params)
       : dev(sched, params, interconnect::make_pcie_gen4_x16()), inbound(sched, 0) {}
 
+  /// An inbound chunk is in: its H2D copy drains at `at` (booked at
+  /// landing, or already drained on the scheduled path).
+  void land(SimTime at) {
+    landings.push(at);
+    inbound.release();
+  }
+
   Device dev;
-  /// One permit per inbound chunk whose H2D DMA has completed.
+  /// One permit per inbound chunk whose H2D copy is booked or has drained.
   sim::Semaphore inbound;
+  LandingFifo landings;  ///< Those chunks' drain times, FIFO with the permits.
   SimTime finished = SimTime::zero();
   std::vector<std::int64_t> step_ends;
 };
 
 /// Ring payload: an allreduce chunk landing at `rank`. Runs in the rank's
 /// partition at arrival time — as a cross-partition message when the ring
-/// edge leaves the chassis, as a plain local event when it stays inside —
-/// occupies the H2D engine for the transfer duration, then posts an
-/// inbound permit.
+/// edge leaves the chassis, as a plain local event when it stays inside.
+/// The chunk occupies the H2D engine for the transfer duration: booked in
+/// closed form when the engine is idle, which is nearly always, else run as
+/// a scheduled op behind the work already there. Either way the rank gets
+/// an inbound permit with the copy's drain time.
 struct RowArrival {
   PartitionedRow* row;
   int rank;
@@ -73,16 +124,21 @@ struct RowArrival {
 
   void operator()() const {
     PartitionedRow::Rank& r = *row->ranks_[static_cast<std::size_t>(rank)];
-    r.dev.scheduler().spawn([](PartitionedRow::Rank& rk, Bytes bytes, SimDuration dur,
-                               NameRef nm) -> sim::Task<> {
-      OpRecord rec;
-      rec.kind = OpKind::kMemcpyH2D;
-      rec.name = nm;
-      rec.bytes = bytes;
-      co_await rk.dev.h2d_engine().execute(rec, dur);
-      if (auto* sink = rk.dev.record_sink(); sink != nullptr) sink->on_op(rec);
-      rk.inbound.release();
-    }(r, chunk, transfer, name));
+    OpRecord rec;
+    rec.kind = OpKind::kMemcpyH2D;
+    rec.name = name;
+    rec.bytes = chunk;
+    if (r.dev.h2d_engine().try_book(rec, transfer)) {
+      if (auto* sink = r.dev.record_sink(); sink != nullptr) sink->on_op(rec);
+      r.land(rec.end);
+      return;
+    }
+    r.dev.scheduler().spawn([](PartitionedRow::Rank& rk, OpRecord op,
+                               SimDuration dur) -> sim::Task<> {
+      co_await rk.dev.h2d_engine().execute(op, dur);
+      if (auto* sink = rk.dev.record_sink(); sink != nullptr) sink->on_op(op);
+      rk.land(op.end);
+    }(r, rec, transfer));
   }
 };
 static_assert(sizeof(RowArrival) <= sim::CrossCall::kInlineBytes);
@@ -218,31 +274,29 @@ sim::Task<> PartitionedRow::rank_loop(int rank, const RowTraining& training) {
       if (auto* sink = self.dev.record_sink(); sink != nullptr) sink->on_op(rec);
     }
 
-    // Ring allreduce as message exchange. Each phase: start the outbound
-    // DMA, post the chunk to the ring neighbor (a local event when the
-    // neighbor shares this chassis), then wait for both the inbound chunk
-    // and the local DMA drain.
+    // Ring allreduce as message exchange. Each phase: post the chunk to
+    // the ring neighbor (a local event when the neighbor shares this
+    // chassis), book the outbound DMA — the D2H engine is idle at every
+    // phase start, since the last phase waited its DMA out — then sleep
+    // once, until both the inbound chunk and the local DMA have drained.
     for (int phase = 0; phase < phases; ++phase) {
       if (circuit_pending) {
         co_await sim::delay(topo_->ocs_reconfigure());
         circuit_pending = false;
       }
-      sim::WaitGroup out_done{sched};
-      out_done.add(1);
-      sched.spawn([](Rank& rk, Bytes bytes, SimDuration dur, NameRef nm,
-                     sim::WaitGroup& wg) -> sim::Task<> {
-        OpRecord rec;
-        rec.kind = OpKind::kMemcpyD2H;
-        rec.name = nm;
-        rec.bytes = bytes;
-        co_await rk.dev.d2h_engine().execute(rec, dur);
-        if (auto* sink = rk.dev.record_sink(); sink != nullptr) sink->on_op(rec);
-        wg.done();
-      }(self, chunk_, edge_transfer, send_name, out_done));
       part.send(next_part, edge_delay,
                 RowArrival{this, next, chunk_, edge_transfer, recv_name});
+      OpRecord out;
+      out.kind = OpKind::kMemcpyD2H;
+      out.name = send_name;
+      out.bytes = chunk_;
+      if (!self.dev.d2h_engine().try_book(out, edge_transfer)) {
+        co_await self.dev.d2h_engine().execute(out, edge_transfer);
+      }
+      if (auto* sink = self.dev.record_sink(); sink != nullptr) sink->on_op(out);
       co_await self.inbound.acquire();
-      co_await out_done.wait();
+      const SimTime drained = std::max(out.end, self.landings.pop());
+      if (drained > sched.now()) co_await sim::delay(drained - sched.now());
     }
     self.step_ends.push_back(sched.now().ns());
   }

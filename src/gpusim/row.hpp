@@ -34,8 +34,17 @@
 //     the circuit reconfiguration delay (its uplink is retargeted once —
 //     the ring neighbor never changes afterwards);
 //   * a rank leaves the phase when its own outbound DMA has drained AND
-//     its inbound chunk has landed — the neighbor dependency chain that
-//     makes ring collectives bulk-synchronous without any global barrier.
+//     its inbound chunk has drained through its H2D engine — the neighbor
+//     dependency chain that makes ring collectives bulk-synchronous
+//     without any global barrier.
+//
+// Both copies use express engine occupancy (gpu::Engine::try_book): the
+// rank posts its chunk and books its D2H inline, the arrival books the
+// H2D at landing when that engine is idle (else runs it as a scheduled op
+// behind the work already there) and hands the rank a permit with the
+// copy's drain time, and the rank sleeps once, until max(D2H end, drain).
+// A rank-phase therefore costs 3 events — the arrival, the inbound
+// wakeup and the sleep — with timing identical to scheduling each copy.
 //
 // Every quantity below is simulated time, so results are byte-identical at
 // any `sim_threads` (asserted by tests/par_des_determinism_test.cpp and

@@ -54,16 +54,6 @@ wl::Program build_proxy_program(std::int64_t n, int threads, std::int64_t iterat
   return program;
 }
 
-/// Allocation gate: checks up-front whether T threads' matrices fit, so a
-/// non-fitting configuration is reported rather than half-simulated.
-/// The async pipeline double-buffers, doubling the footprint.
-bool config_fits(const gpu::DeviceParams& params, std::int64_t n, int threads,
-                 bool async_pipeline) {
-  const Bytes matrix_bytes = static_cast<Bytes>(n) * static_cast<Bytes>(n) * sizeof(float);
-  const Bytes per_thread = 3 * matrix_bytes * (async_pipeline ? 2 : 1);
-  return per_thread * static_cast<Bytes>(threads) <= params.memory_capacity;
-}
-
 /// The optimistic variant: a copy stream and a compute stream per thread,
 /// double-buffered, synchronised with events — the GPU is kept fed while
 /// the host sleeps its injected slack. Event-carrying cross-stream
@@ -162,6 +152,13 @@ void run_async_pipeline(const ProxyConfig& config, const gpu::DeviceParams& devi
 }
 
 }  // namespace
+
+bool config_fits(const gpu::DeviceParams& params, std::int64_t n, int threads,
+                 bool async_pipeline) {
+  const Bytes matrix_bytes = static_cast<Bytes>(n) * static_cast<Bytes>(n) * sizeof(float);
+  const Bytes per_thread = 3 * matrix_bytes * (async_pipeline ? 2 : 1);
+  return per_thread * static_cast<Bytes>(threads) <= params.memory_capacity;
+}
 
 std::int64_t calibrate_iterations(SimDuration kernel_time, SimDuration target,
                                   std::int64_t min_iters, std::int64_t max_iters) {

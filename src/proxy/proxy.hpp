@@ -78,6 +78,14 @@ struct ProxyResult {
   std::optional<trace::Trace> trace;  ///< Present when capture_trace was set.
 };
 
+/// Allocation gate: whether `threads` host threads' A, B and C matrices of
+/// n x n floats fit the device's memory (the async pipeline double-buffers,
+/// doubling the footprint). A configuration that does not fit is reported
+/// rather than half-simulated, and the sweep leaves it out (e.g. 2^15 at
+/// >= 4 threads, as in the paper).
+[[nodiscard]] bool config_fits(const gpu::DeviceParams& params, std::int64_t n, int threads,
+                               bool async_pipeline = false);
+
 /// Iteration-count calibration: floor(target / kernel_time) clamped to
 /// [min, max] (Section III-C).
 [[nodiscard]] std::int64_t calibrate_iterations(SimDuration kernel_time, SimDuration target,

@@ -1,8 +1,14 @@
 #include "proxy/sweep_cache.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -64,6 +70,89 @@ std::string hex_double(double v) {
 constexpr const char* kHeader =
     "matrix_n,threads,slack_ns,normalized_hex,matrix_bytes,kernel_ns,iterations,loop_ns,"
     "no_slack_ns,calls_per_thread";
+
+/// One whole decimal cell; false on an empty, torn or out-of-range cell.
+template <typename T>
+bool parse_cell(const std::string& cell, T& out) {
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, out);
+  return !cell.empty() && ec == std::errc{} && ptr == end;
+}
+
+bool parse_cell(const std::string& cell, SimDuration& out) {
+  std::int64_t ns = 0;
+  if (!parse_cell(cell, ns)) return false;
+  out = SimDuration{ns};
+  return true;
+}
+
+/// A whole hexfloat cell, as hex_double writes it.
+bool parse_hex_cell(const std::string& cell, double& out) {
+  char* end = nullptr;
+  out = std::strtod(cell.c_str(), &end);
+  return !cell.empty() && end == cell.c_str() + cell.size();
+}
+
+/// The key of one stored sweep point.
+struct Cell {
+  std::int64_t matrix_n;
+  int threads;
+  SimDuration slack;
+};
+
+/// The cells a fresh sweep of `config` stores, in its order: every slack of
+/// every (size, threads) pair that fits memory.
+std::vector<Cell> sweep_cells(const ProxyRunner& runner, const SweepConfig& config) {
+  std::vector<Cell> cells;
+  for (const std::int64_t n : config.matrix_sizes) {
+    for (const int threads : config.thread_counts) {
+      if (!config_fits(runner.device_params(), n, threads)) continue;
+      for (const SimDuration slack : config.slacks) cells.push_back({n, threads, slack});
+    }
+  }
+  return cells;
+}
+
+/// Load a persisted sweep. Nullopt unless the file is whole: the header,
+/// then exactly one parseable row per cell of `cells`, in order — a file
+/// cut at a line boundary, torn mid-line or from another grid is rebuilt,
+/// never half-used.
+std::optional<std::vector<SweepPoint>> load_entry(const fs::path& file,
+                                                  const std::vector<Cell>& cells) {
+  std::ifstream in{file};
+  std::string line;
+  if (!in || !std::getline(in, line) || line != kHeader) return std::nullopt;
+  std::vector<SweepPoint> points;
+  points.reserve(cells.size());
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    if (points.size() == cells.size()) return std::nullopt;  // extra rows
+    std::istringstream row_in{line};
+    std::string cell;
+    std::vector<std::string> row;
+    while (std::getline(row_in, cell, ',')) row.push_back(cell);
+    if (row.size() != 10) return std::nullopt;
+    SweepPoint p;
+    ProxyResult& r = p.result;
+    const bool ok =
+        parse_cell(row[0], p.matrix_n) && parse_cell(row[1], p.threads) &&
+        parse_cell(row[2], p.slack) && parse_hex_cell(row[3], p.normalized_runtime) &&
+        parse_cell(row[4], r.matrix_bytes) && parse_cell(row[5], r.kernel_duration) &&
+        parse_cell(row[6], r.iterations) && parse_cell(row[7], r.loop_runtime) &&
+        parse_cell(row[8], r.no_slack_time) && parse_cell(row[9], r.cuda_calls_per_thread);
+    const Cell& want = cells[points.size()];
+    if (!ok || p.matrix_n != want.matrix_n || p.threads != want.threads || p.slack != want.slack) {
+      return std::nullopt;
+    }
+    r.matrix_n = p.matrix_n;
+    r.threads = p.threads;
+    r.slack = p.slack;
+    r.fits_memory = true;
+    points.push_back(std::move(p));
+  }
+  if (points.size() != cells.size()) return std::nullopt;
+  return points;
+}
 
 }  // namespace
 
@@ -127,44 +216,12 @@ std::vector<SweepPoint> SweepCache::get_or_run(const ProxyRunner& runner,
 
   // Disk hit: rebuild the points. The sweep only ever stores points whose
   // configuration fits memory and never carries a trace, so the scalar
-  // fields below are the complete state.
-  if (std::ifstream in{file}; in) {
-    std::vector<SweepPoint> points;
-    std::string line;
-    bool ok = std::getline(in, line) && line == kHeader;
-    while (ok && std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::istringstream cells{line};
-      std::string cell;
-      std::vector<std::string> row;
-      while (std::getline(cells, cell, ',')) row.push_back(cell);
-      if (row.size() != 10) {
-        ok = false;
-        break;
-      }
-      SweepPoint p;
-      p.matrix_n = std::stoll(row[0]);
-      p.threads = std::stoi(row[1]);
-      p.slack = SimDuration{std::stoll(row[2])};
-      p.normalized_runtime = std::strtod(row[3].c_str(), nullptr);
-      p.result.matrix_n = p.matrix_n;
-      p.result.threads = p.threads;
-      p.result.slack = p.slack;
-      p.result.matrix_bytes = std::stoull(row[4]);
-      p.result.kernel_duration = SimDuration{std::stoll(row[5])};
-      p.result.iterations = std::stoll(row[6]);
-      p.result.loop_runtime = SimDuration{std::stoll(row[7])};
-      p.result.no_slack_time = SimDuration{std::stoll(row[8])};
-      p.result.cuda_calls_per_thread = std::stoll(row[9]);
-      p.result.fits_memory = true;
-      points.push_back(std::move(p));
-    }
-    if (ok) {
-      std::lock_guard<std::mutex> lk(m_);
-      record_outcome(disk_loads_, "sweep_cache.disk_loads", "sweep_cache.disk_load");
-      return memory_.try_emplace(fp, std::move(points)).first->second;
-    }
-    // Unreadable/stale entry: fall through and rebuild it.
+  // fields are the complete state. Anything else falls through and is
+  // rebuilt.
+  if (auto loaded = load_entry(file, sweep_cells(runner, config))) {
+    std::lock_guard<std::mutex> lk(m_);
+    record_outcome(disk_loads_, "sweep_cache.disk_loads", "sweep_cache.disk_load");
+    return memory_.try_emplace(fp, std::move(*loaded)).first->second;
   }
 
   std::vector<SweepPoint> points = run_slack_sweep(runner, config, pool);
@@ -173,7 +230,11 @@ std::vector<SweepPoint> SweepCache::get_or_run(const ProxyRunner& runner,
   fs::create_directories(dir_, ec);
   if (!ec) {
     // Write-then-rename so a crashed bench never leaves a torn cache file.
-    const fs::path tmp = file.string() + ".tmp";
+    // The temp name is this writer's own: tests, the fleet and perfbench
+    // may fill one cache directory at once, and rename is atomic.
+    static std::atomic<std::uint64_t> writes{0};
+    const fs::path tmp = file.string() + "." + std::to_string(::getpid()) + "." +
+                         std::to_string(writes.fetch_add(1)) + ".tmp";
     std::ofstream out{tmp, std::ios::trunc};
     if (out) {
       out << kHeader << '\n';

@@ -1,5 +1,6 @@
 #include "wl/replay.hpp"
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -211,6 +212,15 @@ ReplayResult ReplayEngine::run(const Program& program, const ReplayOptions& opti
   }
 
   sched.run();
+  // The program is caller-built, so a deadlock is its fault, not ours:
+  // lanes that call barrier() different numbers of times never finish.
+  if (wg.count() > 0) {
+    throw Error{ErrorCode::kInvalidArgument,
+                "wl::ReplayEngine: " + std::to_string(wg.count()) + " of " +
+                    std::to_string(lanes) +
+                    " lanes never finished (deadlock: do all lanes call barrier() the same "
+                    "number of times?)"};
+  }
   RSD_ASSERT(sched.unfinished_count() == 0);
 
   ReplayResult result;

@@ -288,6 +288,13 @@ TEST(RowFabric, ChassisPartitionsKeepTrackedTiming) {
       EXPECT_EQ(row.engine().messages_delivered(),
                 static_cast<std::uint64_t>(chassis) * 2 * (c.gpus - 1))
           << label;
+      // Express occupancy: a rank-phase costs the chunk's arrival, the
+      // inbound wakeup and one sleep, since both copies are booked in
+      // closed form; the bound leaves room for the kernels and the odd
+      // copy that queues.
+      const double rank_phases = static_cast<double>(c.gpus) * 2 * (c.gpus - 1);
+      EXPECT_LE(static_cast<double>(row.engine().executed_events()) / rank_phases, 4.0)
+          << label;
     }
   }
 }

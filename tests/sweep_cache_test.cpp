@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/csv.hpp"
 #include "exec/pool.hpp"
@@ -34,13 +38,39 @@ std::string to_csv(const std::vector<SweepPoint>& points) {
   return csv.str();
 }
 
+/// A cache directory of this test's own: ctest runs each case as its own
+/// process, possibly in parallel, so the name carries the test and the pid.
 struct TempDir {
   fs::path path;
-  TempDir() : path(fs::temp_directory_path() / "rsd_sweep_cache_test") {
+  TempDir()
+      : path(fs::temp_directory_path() /
+             ("rsd_sweep_cache_test_" +
+              std::string{::testing::UnitTest::GetInstance()->current_test_info()->name()} +
+              "_" + std::to_string(::getpid()))) {
     fs::remove_all(path);
   }
   ~TempDir() { fs::remove_all(path); }
 };
+
+/// The single cache entry in `dir`.
+fs::path only_entry(const fs::path& dir) {
+  std::vector<fs::path> entries;
+  for (const auto& e : fs::directory_iterator(dir)) entries.push_back(e.path());
+  EXPECT_EQ(entries.size(), 1u);
+  return entries.empty() ? fs::path{} : entries.front();
+}
+
+std::vector<std::string> read_lines(const fs::path& file) {
+  std::ifstream in{file};
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+void write_lines(const fs::path& file, const std::vector<std::string>& lines) {
+  std::ofstream out{file, std::ios::trunc};
+  for (const std::string& line : lines) out << line << '\n';
+}
 
 TEST(SweepCache, MemoizesAndRoundTripsThroughDisk) {
   TempDir tmp;
@@ -104,6 +134,49 @@ TEST(SweepCache, CorruptEntryIsRebuilt) {
   }
   SweepCache reopened{tmp.path};
   EXPECT_EQ(to_csv(reopened.get_or_run(runner, cfg)), to_csv(fresh));
+}
+
+TEST(SweepCache, FileCutAtALineBoundaryIsRebuilt) {
+  TempDir tmp;
+  const ProxyRunner runner;
+  const SweepConfig cfg = small_config();
+  const auto fresh = SweepCache{tmp.path}.get_or_run(runner, cfg);
+
+  // Every row is well-formed, but the last cell of the grid is missing.
+  const fs::path file = only_entry(tmp.path);
+  std::vector<std::string> lines = read_lines(file);
+  ASSERT_EQ(lines.size(), fresh.size() + 1);  // header + one row per point
+  lines.pop_back();
+  write_lines(file, lines);
+
+  SweepCache reopened{tmp.path};
+  const auto loaded = reopened.get_or_run(runner, cfg);
+  EXPECT_EQ(to_csv(loaded), to_csv(fresh));
+  EXPECT_EQ(reopened.disk_loads(), 0u);
+  EXPECT_EQ(reopened.sweeps_computed(), 1u);
+}
+
+TEST(SweepCache, EmptyCellIsRebuiltNotThrown) {
+  TempDir tmp;
+  const ProxyRunner runner;
+  const SweepConfig cfg = small_config();
+  const auto fresh = SweepCache{tmp.path}.get_or_run(runner, cfg);
+
+  // A torn write: the first data row loses its iteration count.
+  const fs::path file = only_entry(tmp.path);
+  std::vector<std::string> lines = read_lines(file);
+  ASSERT_GE(lines.size(), 2u);
+  std::string& row = lines[1];
+  std::size_t comma = 0;
+  for (int i = 0; i < 6; ++i) comma = row.find(',', comma) + 1;  // start of cell 6
+  row.erase(comma, row.find(',', comma) - comma);
+  write_lines(file, lines);
+
+  SweepCache reopened{tmp.path};
+  std::vector<SweepPoint> loaded;
+  ASSERT_NO_THROW(loaded = reopened.get_or_run(runner, cfg));
+  EXPECT_EQ(to_csv(loaded), to_csv(fresh));
+  EXPECT_EQ(reopened.sweeps_computed(), 1u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/error.hpp"
@@ -115,6 +116,26 @@ TEST(WlReplay, SlackDelaysEveryApiCall) {
   const auto run = engine.run(program, options);
   EXPECT_EQ(run.calls_delayed, expected);
   EXPECT_GT(run.runtime, engine.run(program).runtime);
+}
+
+TEST(WlReplay, MismatchedBarriersAreAnErrorNotAnAbort) {
+  // Lane 0 waits at a barrier lane 1 never reaches: a deadlocked program.
+  Program program;
+  for (int t = 0; t < 2; ++t) {
+    Lane& lane = program.lanes.emplace_back();
+    lane.context_id = t;
+    lane.process_id = t;
+    lane.kernel_sync(NameRef{"work"}, 10_us);
+    if (t == 0) lane.barrier();
+  }
+  try {
+    (void)ReplayEngine{}.run(program);
+    FAIL() << "expected rsd::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(std::string{e.what()}.find("1 of 2 lanes never finished"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(WlRoundTrip, FixpointThroughFromTrace) {
