@@ -10,8 +10,9 @@
 // parallelism of 4. Data arrives in large prefetch chunks (the paper's
 // "mini" dataset: 1024 train + 1024 validation items, batch 4, 5 epochs).
 //
-// The layer list and their FLOP ratios come from the real CNN in rsd::nn
-// (make_cosmoflow_net) evaluated at CosmoFlow's full 128^3 input scale.
+// The layer list and their FLOP ratios come from CosmoFlow's full-scale
+// architecture (cosmoflow_stages() in cosmoflow.cpp: seven conv stages over
+// a 128^3 input).
 #pragma once
 
 #include <cstdint>

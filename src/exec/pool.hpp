@@ -4,7 +4,9 @@
 // bit-deterministic discrete-event simulation: a fresh `sim::Scheduler` and
 // `gpu::Device` per run, no shared mutable state. That makes *cross-run*
 // parallelism free of determinism hazards — the only requirement is that
-// results are assembled in input order, never completion order.
+// results are assembled in input order, never completion order. The same
+// pool runs the data-parallel loops of `rsd::lj` and `rsd::nn`, chunked so
+// that their results do not depend on its width.
 //
 // `Pool` is a shared-queue, caller-participating thread pool:
 //
@@ -70,25 +72,10 @@ class Pool {
   auto parallel_map(const std::vector<T>& items, Fn&& fn)
       -> std::vector<std::decay_t<std::invoke_result_t<Fn&, const T&>>> {
     using R = std::decay_t<std::invoke_result_t<Fn&, const T&>>;
-    const std::size_t n = items.size();
-    std::vector<std::optional<R>> slots(n);
-    if (size_ == 1 || n <= 1) {
-      for (std::size_t i = 0; i < n; ++i) slots[i].emplace(fn(items[i]));
-    } else {
-      std::vector<std::exception_ptr> errors(n);
-      run_batch(n, [&](std::size_t i) {
-        try {
-          slots[i].emplace(fn(items[i]));
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-      for (const auto& e : errors) {
-        if (e) std::rethrow_exception(e);
-      }
-    }
+    std::vector<std::optional<R>> slots(items.size());
+    parallel_for(items.size(), [&](std::size_t i) { slots[i].emplace(fn(items[i])); });
     std::vector<R> out;
-    out.reserve(n);
+    out.reserve(slots.size());
     for (auto& s : slots) out.push_back(std::move(*s));
     return out;
   }

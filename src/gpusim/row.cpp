@@ -181,13 +181,6 @@ std::vector<PartitionedRow::RingEdge> PartitionedRow::route_ring(const net::Topo
   return ring;
 }
 
-/// The engine's global bound: the shortest ring edge. A one-GPU row has no
-/// edge and keeps the engine's default.
-SimDuration PartitionedRow::ring_lookahead(const std::vector<RingEdge>& ring) {
-  if (ring.empty()) return sim::ParallelEngine::Options{}.lookahead;
-  return std::ranges::min_element(ring, {}, &RingEdge::latency)->latency;
-}
-
 PartitionedRow::PartitionedRow(RowParams params)
     : params_(std::move(params)),
       owned_topo_(build_row_topology(params_)),
@@ -195,9 +188,7 @@ PartitionedRow::PartitionedRow(RowParams params)
       part_of_(chassis_partitions(*topo_, params_.gpus)),
       ring_(route_ring(*topo_, params_)),
       engine_(static_cast<int>(*std::max_element(part_of_.begin(), part_of_.end())) + 1,
-              {.threads = params_.sim_threads,
-               .lookahead = ring_lookahead(ring_),
-               .jitter_seed = params_.jitter_seed}) {
+              {.threads = params_.sim_threads, .jitter_seed = params_.jitter_seed}) {
   // The row's lookahead is its ring edges: the only remote sends are chunk
   // posts over ring edges that leave a chassis, each at that edge's routed
   // latency, so the lookahead graph is the chassis ring with that bound per

@@ -145,7 +145,6 @@ class PartitionedRow {
   friend struct RowArrival;
 
   static std::vector<RingEdge> route_ring(const net::Topology& topo, const RowParams& params);
-  static SimDuration ring_lookahead(const std::vector<RingEdge>& ring);
   sim::Task<> rank_loop(int rank, const RowTraining& training);
 
   RowParams params_;

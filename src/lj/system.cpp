@@ -7,7 +7,16 @@
 
 namespace rsd::lj {
 
-System::System(int cells, const LjParams& params) : params_(params) {
+namespace {
+
+/// Atoms per force-loop work item. The chunking is fixed, not derived from
+/// the pool width, and the per-chunk partials are added in chunk order, so
+/// the potential and pair count are bit-identical at any width.
+constexpr std::int64_t kAtomsPerChunk = 64;
+
+}  // namespace
+
+System::System(int cells, const LjParams& params, exec::Pool& pool) : params_(params) {
   RSD_ASSERT(cells >= 1);
   RSD_ASSERT(params_.density > 0.0);
   RSD_ASSERT(params_.cutoff > 0.0);
@@ -17,7 +26,7 @@ System::System(int cells, const LjParams& params) : params_(params) {
   // Shift so the potential is zero at the cutoff (energy conservation).
   const double inv_rc6 = 1.0 / std::pow(params_.cutoff, 6);
   e_shift_ = 4.0 * (inv_rc6 * inv_rc6 - inv_rc6);
-  compute_forces();
+  compute_forces(pool);
 }
 
 void System::init_lattice(int cells) {
@@ -91,7 +100,7 @@ void System::build_cells() {
   }
 }
 
-void System::compute_forces() {
+void System::compute_forces(exec::Pool& pool) {
   build_cells();
   if (grid_ < 3) {
     compute_forces_reference();
@@ -99,43 +108,58 @@ void System::compute_forces() {
   }
 
   const auto n = static_cast<std::int64_t>(pos_.size());
-  double potential = 0.0;
-  std::int64_t pairs = 0;
+  const auto wrap = [this](int k) { return (k + grid_) % grid_; };
+  struct Partial {
+    double potential = 0.0;
+    std::int64_t pairs = 0;
+  };
+  std::vector<Partial> partials(
+      static_cast<std::size_t>((n + kAtomsPerChunk - 1) / kAtomsPerChunk));
 
-#pragma omp parallel for schedule(static) reduction(+ : potential, pairs)
-  for (std::int64_t i = 0; i < n; ++i) {
-    const Vec3 pi = pos_[static_cast<std::size_t>(i)];
-    auto wrap = [this](int k) { return (k + grid_) % grid_; };
-    const int cx = std::min(static_cast<int>(pi.x / cell_len_), grid_ - 1);
-    const int cy = std::min(static_cast<int>(pi.y / cell_len_), grid_ - 1);
-    const int cz = std::min(static_cast<int>(pi.z / cell_len_), grid_ - 1);
+  pool.parallel_for(partials.size(), [&](std::size_t chunk) {
+    const auto first = static_cast<std::int64_t>(chunk) * kAtomsPerChunk;
+    const std::int64_t last = std::min(n, first + kAtomsPerChunk);
+    Partial part;
+    for (std::int64_t i = first; i < last; ++i) {
+      const Vec3 pi = pos_[static_cast<std::size_t>(i)];
+      const int cx = std::min(static_cast<int>(pi.x / cell_len_), grid_ - 1);
+      const int cy = std::min(static_cast<int>(pi.y / cell_len_), grid_ - 1);
+      const int cz = std::min(static_cast<int>(pi.z / cell_len_), grid_ - 1);
 
-    Vec3 f{};
-    for (int dx = -1; dx <= 1; ++dx) {
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dz = -1; dz <= 1; ++dz) {
-          const auto cell =
-              (static_cast<std::size_t>(wrap(cx + dx)) * grid_ + wrap(cy + dy)) * grid_ +
-              wrap(cz + dz);
-          for (const std::int32_t j : cell_atoms_[cell]) {
-            if (j == i) continue;
-            const Vec3 d = minimum_image(pi - pos_[static_cast<std::size_t>(j)]);
-            const double r2 = d.norm2();
-            if (r2 >= cut2_) continue;
-            const double inv_r2 = 1.0 / r2;
-            const double inv_r6 = inv_r2 * inv_r2 * inv_r2;
-            const double inv_r12 = inv_r6 * inv_r6;
-            f += d * (24.0 * (2.0 * inv_r12 - inv_r6) * inv_r2);
-            // Each unordered pair is visited twice; halve the shares.
-            potential += 0.5 * (4.0 * (inv_r12 - inv_r6) - e_shift_);
-            ++pairs;
+      Vec3 f{};
+      for (int dx = -1; dx <= 1; ++dx) {
+        for (int dy = -1; dy <= 1; ++dy) {
+          for (int dz = -1; dz <= 1; ++dz) {
+            const auto cell =
+                (static_cast<std::size_t>(wrap(cx + dx)) * grid_ + wrap(cy + dy)) * grid_ +
+                wrap(cz + dz);
+            for (const std::int32_t j : cell_atoms_[cell]) {
+              if (j == i) continue;
+              const Vec3 d = minimum_image(pi - pos_[static_cast<std::size_t>(j)]);
+              const double r2 = d.norm2();
+              if (r2 >= cut2_) continue;
+              const double inv_r2 = 1.0 / r2;
+              const double inv_r6 = inv_r2 * inv_r2 * inv_r2;
+              const double inv_r12 = inv_r6 * inv_r6;
+              f += d * (24.0 * (2.0 * inv_r12 - inv_r6) * inv_r2);
+              // Each unordered pair is visited twice; halve the shares.
+              part.potential += 0.5 * (4.0 * (inv_r12 - inv_r6) - e_shift_);
+              ++part.pairs;
+            }
           }
         }
       }
+      force_[static_cast<std::size_t>(i)] = f;
     }
-    force_[static_cast<std::size_t>(i)] = f;
-  }
+    partials[chunk] = part;
+  });
 
+  double potential = 0.0;
+  std::int64_t pairs = 0;
+  for (const Partial& part : partials) {
+    potential += part.potential;
+    pairs += part.pairs;
+  }
   potential_ = potential;
   last_pairs_ = pairs / 2;
 }
@@ -162,13 +186,11 @@ void System::compute_forces_reference() {
   }
 }
 
-StepWork System::step() {
+StepWork System::step(exec::Pool& pool) {
   const double half_dt = 0.5 * params_.dt;
   const std::size_t n = pos_.size();
 
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    const auto k = static_cast<std::size_t>(i);
+  for (std::size_t k = 0; k < n; ++k) {
     vel_[k] += force_[k] * half_dt;
     pos_[k] += vel_[k] * params_.dt;
     // Wrap into the primary box.
@@ -177,21 +199,17 @@ StepWork System::step() {
     pos_[k].z -= box_ * std::floor(pos_[k].z / box_);
   }
 
-  compute_forces();
+  compute_forces(pool);
 
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    const auto k = static_cast<std::size_t>(i);
-    vel_[k] += force_[k] * half_dt;
-  }
+  for (std::size_t k = 0; k < n; ++k) vel_[k] += force_[k] * half_dt;
 
   return StepWork{last_pairs_, atom_count()};
 }
 
-StepWork System::run(int n) {
+StepWork System::run(int n, exec::Pool& pool) {
   StepWork total;
   for (int i = 0; i < n; ++i) {
-    const StepWork w = step();
+    const StepWork w = step(pool);
     total.pair_interactions += w.pair_interactions;
     total.atoms += w.atoms;
   }

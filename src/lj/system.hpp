@@ -8,11 +8,12 @@
 //   * Maxwell velocities at T* = 1.44, zeroed net momentum,
 //   * LJ 12-6 potential, cutoff r_c = 2.5 sigma, NVE velocity Verlet,
 //     dt* = 0.005,
-//   * linked-cell neighbor search, O(N) per step, OpenMP-parallel forces.
+//   * linked-cell neighbor search, O(N) per step, forces fanned out over an
+//     `exec::Pool` in fixed atom chunks, so every result is bit-identical at
+//     any pool width.
 //
-// The engine is both a runnable example application and the source of the
-// per-step work counts (pair interactions, atoms moved) that parameterise
-// the LAMMPS workload generator in rsd::apps.
+// The engine is a runnable application in its own right; the LAMMPS
+// workload generator in rsd::apps does not read it.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "exec/pool.hpp"
 #include "lj/vec3.hpp"
 
 namespace rsd::lj {
@@ -32,7 +34,7 @@ struct LjParams {
   std::uint64_t seed = 87287;  ///< Velocity seed (LAMMPS in.lj default).
 };
 
-/// Work performed in one step — consumed by the CDI workload generator.
+/// Work performed in one step.
 struct StepWork {
   std::int64_t pair_interactions = 0;  ///< Pairs within cutoff (counted once).
   std::int64_t atoms = 0;
@@ -41,7 +43,7 @@ struct StepWork {
 class System {
  public:
   /// Build an fcc lattice of `cells`^3 unit cells (4*cells^3 atoms).
-  System(int cells, const LjParams& params = {});
+  System(int cells, const LjParams& params = {}, exec::Pool& pool = exec::Pool::global());
 
   [[nodiscard]] std::int64_t atom_count() const { return static_cast<std::int64_t>(pos_.size()); }
   [[nodiscard]] double box_length() const { return box_; }
@@ -52,13 +54,13 @@ class System {
   [[nodiscard]] std::span<const Vec3> forces() const { return force_; }
 
   /// One velocity-Verlet step; returns the work performed.
-  StepWork step();
+  StepWork step(exec::Pool& pool = exec::Pool::global());
 
   /// Run n steps; returns accumulated work.
-  StepWork run(int n);
+  StepWork run(int n, exec::Pool& pool = exec::Pool::global());
 
   /// Recompute forces for the current positions (also done by step()).
-  void compute_forces();
+  void compute_forces(exec::Pool& pool = exec::Pool::global());
 
   // --- Observables -------------------------------------------------------
   [[nodiscard]] double potential_energy() const { return potential_; }

@@ -32,7 +32,7 @@ Conv3d::Conv3d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t
   init_weights(weight_, in_c_ * k_ * k_ * k_, rng);
 }
 
-Tensor Conv3d::forward(const Tensor& input) {
+Tensor Conv3d::forward(const Tensor& input, exec::Pool& pool) {
   RSD_ASSERT(input.rank() == 5);
   RSD_ASSERT(input.dim(1) == in_c_);
   cached_input_ = input;
@@ -53,34 +53,33 @@ Tensor Conv3d::forward(const Tensor& input) {
     return static_cast<std::size_t>((((oc * in_c_ + ic) * k_ + a) * k_ + b) * k_ + c);
   };
 
-#pragma omp parallel for collapse(2) schedule(static)
-  for (std::int64_t bi = 0; bi < n; ++bi) {
-    for (std::int64_t oc = 0; oc < out_c_; ++oc) {
-      for (std::int64_t z = 0; z < od; ++z) {
-        for (std::int64_t y = 0; y < oh; ++y) {
-          for (std::int64_t x = 0; x < ow; ++x) {
-            Scalar acc = bias_[static_cast<std::size_t>(oc)];
-            for (std::int64_t ic = 0; ic < in_c_; ++ic) {
-              for (std::int64_t a = 0; a < k_; ++a) {
-                const std::int64_t zi = z + a - pad_;
-                if (zi < 0 || zi >= id) continue;
-                for (std::int64_t b = 0; b < k_; ++b) {
-                  const std::int64_t yi = y + b - pad_;
-                  if (yi < 0 || yi >= ih) continue;
-                  for (std::int64_t c = 0; c < k_; ++c) {
-                    const std::int64_t xi = x + c - pad_;
-                    if (xi < 0 || xi >= iw) continue;
-                    acc += weight_[widx(oc, ic, a, b, c)] * input.at5(bi, ic, zi, yi, xi);
-                  }
+  pool.parallel_for(static_cast<std::size_t>(n * out_c_), [&](std::size_t plane) {
+    const auto bi = static_cast<std::int64_t>(plane) / out_c_;
+    const auto oc = static_cast<std::int64_t>(plane) % out_c_;
+    for (std::int64_t z = 0; z < od; ++z) {
+      for (std::int64_t y = 0; y < oh; ++y) {
+        for (std::int64_t x = 0; x < ow; ++x) {
+          Scalar acc = bias_[static_cast<std::size_t>(oc)];
+          for (std::int64_t ic = 0; ic < in_c_; ++ic) {
+            for (std::int64_t a = 0; a < k_; ++a) {
+              const std::int64_t zi = z + a - pad_;
+              if (zi < 0 || zi >= id) continue;
+              for (std::int64_t b = 0; b < k_; ++b) {
+                const std::int64_t yi = y + b - pad_;
+                if (yi < 0 || yi >= ih) continue;
+                for (std::int64_t c = 0; c < k_; ++c) {
+                  const std::int64_t xi = x + c - pad_;
+                  if (xi < 0 || xi >= iw) continue;
+                  acc += weight_[widx(oc, ic, a, b, c)] * input.at5(bi, ic, zi, yi, xi);
                 }
               }
             }
-            out.at5(bi, oc, z, y, x) = acc;
           }
+          out.at5(bi, oc, z, y, x) = acc;
         }
       }
     }
-  }
+  });
 
   flops_ = 2 * n * out_c_ * od * oh * ow * in_c_ * k_ * k_ * k_;
   return out;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "exec/pool.hpp"
 #include "nn/tensor.hpp"
 
 namespace rsd::nn {
@@ -48,7 +49,10 @@ class Conv3d final : public Layer {
   Conv3d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
          std::int64_t padding, Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(const Tensor& input) override { return forward(input, exec::Pool::global()); }
+  /// Forward pass fanned out over `pool`, one item per (batch, out-channel)
+  /// plane; the output is bit-identical at any pool width.
+  Tensor forward(const Tensor& input, exec::Pool& pool);
   Tensor backward(const Tensor& grad_output) override;
   [[nodiscard]] std::string name() const override { return name_; }
   std::vector<ParamView> params() override { return {{weight_, grad_weight_}, {bias_, grad_bias_}}; }

@@ -149,6 +149,7 @@ Trace parse_ops_csv(std::istream& input) {
     op.start = parse_time_us(cells[columns["start_us"]], line_no, "start_us");
     op.end = parse_time_us(cells[columns["end_us"]], line_no, "end_us");
     op.bytes = parse_integral<Bytes>(cells[columns["bytes"]], line_no, "bytes");
+    if (op.start < op.submit) fail(line_no, "start before submit");
     if (op.end < op.start) fail(line_no, "end before start");
     trace.add_op(std::move(op));
   }

@@ -14,7 +14,8 @@ namespace rsd::trace {
 /// Parse a trace from CSV text. The first line must be the header produced
 /// by Trace::ops_to_csv (extra columns are ignored; required columns are
 /// kind, name, context, submit_us, start_us, end_us, bytes). Throws
-/// rsd::Error{kInvalidArgument} with a line number on malformed input.
+/// rsd::Error{kInvalidArgument} with a line number on malformed input,
+/// including an op whose timestamps break submit <= start <= end.
 [[nodiscard]] Trace parse_ops_csv(std::istream& input);
 
 /// Convenience: read from a file. Throws on I/O failure.

@@ -78,18 +78,6 @@ TEST(RowFabric, SwitchedFabricsDiverge) {
   EXPECT_NE(ocs.finish, eswitch.finish);
 }
 
-TEST(RowFabric, TopologyLookaheadMatchesShortestDevicePath) {
-  // The engine's global bound is the shortest ring edge: on the switched
-  // row every edge is link + forwarding + link.
-  RowParams params;
-  params.gpus = 8;
-  params.fabric_kind = net::FabricKind::kElectricalSwitch;
-  PartitionedRow row{params};
-  EXPECT_EQ(row.engine().lookahead(), duration::microseconds(4.12));
-  EXPECT_EQ(row.engine().lookahead(),
-            params.fabric.latency + duration::microseconds(0.12) + params.fabric.latency);
-}
-
 TEST(RowFabric, ZeroLatencyFabricIsRejected) {
   const auto expect_rejected = [](const RowParams& params, const std::string& label) {
     try {

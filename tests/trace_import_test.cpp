@@ -175,6 +175,21 @@ TEST(TraceImport, ErrorsAreSpecific) {
         "kernel,k,0,0,5,2,0\n"};  // end before start
     EXPECT_THROW((void)parse_ops_csv(in), Error);
   }
+  {
+    std::istringstream in{
+        "kind,name,context,submit_us,start_us,end_us,bytes\n"
+        "kernel,k,0,0,1,2,0\n"
+        "kernel,k,0,3,2,4,0\n"};  // started before it was submitted
+    try {
+      (void)parse_ops_csv(in);
+      ADD_FAILURE() << "accepted an op that starts before its submit";
+    } catch (const Error& e) {
+      const std::string what{e.what()};
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << what;
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find("start before submit"), std::string::npos) << what;
+    }
+  }
   // Numeric cells are validated before any cast to an integer type; each
   // rejection names the line and the field.
   struct BadCell {
