@@ -6,11 +6,17 @@
 // The trace CSV uses the schema of Trace::ops_to_csv (an NSys export can
 // be converted to it: one row per kernel/memcpy with timestamps and
 // sizes). Without arguments, a demo trace is generated from the LAMMPS
-// workload so the tool runs out of the box.
-#include <cstdlib>
+// workload so the tool runs out of the box. A malformed argument or trace
+// ends the run with a message and exit code 1, before any prediction.
+#include <charconv>
+#include <cmath>
 #include <iostream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "apps/lammps.hpp"
+#include "core/error.hpp"
 #include "core/table.hpp"
 #include "interconnect/link.hpp"
 #include "model/slack_model.hpp"
@@ -18,8 +24,42 @@
 #include "proxy/sweep_cache.hpp"
 #include "trace/import.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+/// The whole of `arg` as a T; anything else is an rsd::Error naming `what`.
+template <typename T>
+T parse_arg(std::string_view arg, const char* what) {
+  T value{};
+  const char* const end = arg.data() + arg.size();
+  const auto [ptr, ec] = std::from_chars(arg.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw rsd::Error{rsd::ErrorCode::kInvalidArgument,
+                     std::string{"bad "} + what + " '" + std::string{arg} + "'"};
+  }
+  return value;
+}
+
+/// A slack in microseconds that fits a SimDuration: finite and within its
+/// nanosecond range (a negative slack is the model's to reject).
+rsd::SimDuration parse_slack_us(std::string_view arg) {
+  const double us = parse_arg<double>(arg, "slack_us");
+  if (!std::isfinite(us) || std::fabs(us) * 1e3 >= 0x1p63) {
+    throw rsd::Error{rsd::ErrorCode::kInvalidArgument,
+                     "non-finite or out-of-range slack_us '" + std::string{arg} + "'"};
+  }
+  return rsd::duration::microseconds(us);
+}
+
+int run(int argc, char** argv) {
   using namespace rsd;
+
+  const int parallelism = argc > 2 ? parse_arg<int>(argv[2], "parallelism") : 4;
+  std::vector<SimDuration> slacks;
+  for (int i = 3; i < argc; ++i) slacks.push_back(parse_slack_us(argv[i]));
+  if (slacks.empty()) {
+    slacks = {duration::microseconds(1.0), duration::microseconds(10.0),
+              duration::microseconds(100.0), duration::milliseconds(1.0)};
+  }
 
   trace::Trace app_trace;
   if (argc > 1) {
@@ -33,16 +73,6 @@ int main(int argc, char** argv) {
     cfg.steps = 180;
     cfg.capture_trace = true;
     app_trace = apps::run_lammps(cfg).trace;
-  }
-  const int parallelism = argc > 2 ? std::atoi(argv[2]) : 4;
-
-  std::vector<SimDuration> slacks;
-  for (int i = 3; i < argc; ++i) {
-    slacks.push_back(duration::microseconds(std::atof(argv[i])));
-  }
-  if (slacks.empty()) {
-    slacks = {duration::microseconds(1.0), duration::microseconds(10.0),
-              duration::microseconds(100.0), duration::milliseconds(1.0)};
   }
 
   std::cout << "building the proxy response surface (Figure 3 sweep)...\n";
@@ -60,4 +90,15 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const rsd::Error& e) {
+    std::cerr << "predict_from_trace: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -1,6 +1,7 @@
 #include "model/slack_model.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "core/error.hpp"
 
@@ -68,6 +69,16 @@ PenaltyBounds SlackModel::equation3(const std::vector<double>& values,
 
 SlackPrediction SlackModel::predict(const trace::Trace& app_trace, int parallelism,
                                     SimDuration slack) const {
+  // The surface snaps any thread count to its nearest sweep point, so a
+  // garbage parallelism would otherwise yield a confident band.
+  if (parallelism < 1) {
+    throw Error{ErrorCode::kInvalidArgument,
+                "SlackModel::predict: parallelism must be >= 1, got " + std::to_string(parallelism)};
+  }
+  if (slack < SimDuration::zero()) {
+    throw Error{ErrorCode::kInvalidArgument,
+                "SlackModel::predict: negative slack " + format_duration(slack)};
+  }
   SlackPrediction prediction;
   prediction.slack = slack;
   prediction.parallelism = parallelism;

@@ -71,6 +71,8 @@ class SlackModel {
   /// under `slack` per CUDA call, assuming it submits GPU work with the
   /// given effective parallelism (LAMMPS: its process count; CosmoFlow: the
   /// paper derives an equivalent of 4 from its kernel-sequence queuing).
+  /// Throws rsd::Error{kInvalidArgument} for parallelism < 1 or a negative
+  /// slack.
   [[nodiscard]] SlackPrediction predict(const trace::Trace& app_trace, int parallelism,
                                         SimDuration slack) const;
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/csv.hpp"
 
 namespace rsd {
@@ -61,6 +64,21 @@ TEST(Csv, QuotesSpecialCharacters) {
   CsvWriter w;
   w.row("has,comma", "has\"quote", "plain");
   EXPECT_EQ(w.str(), "\"has,comma\",\"has\"\"quote\",plain\n");
+}
+
+// Doubles are printf "%.12g" and integers decimal, as an ostream at
+// precision(12) and std::to_string write them.
+TEST(Csv, NumberCellsKeepTheirBytes) {
+  CsvWriter w;
+  w.row(-0.0, 1.0 / 3, 1e21, 5e-324);
+  w.row(std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity());
+  w.row('c', true, std::numeric_limits<std::uint64_t>::max(),
+        std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(w.str(),
+            "-0,0.333333333333,1e+21,4.94065645841e-324\n"
+            "nan,inf,-inf\n"
+            "99,1,18446744073709551615,-9223372036854775808\n");
 }
 
 TEST(Csv, SaveAndReload) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "core/error.hpp"
 #include "model/response_surface.hpp"
 #include "proxy/proxy.hpp"
 
@@ -191,6 +195,39 @@ TEST(Equation2, CombinesFractionsAndPenalties) {
   EXPECT_NEAR(pred.memory.lower, 0.10, 1e-12);
   EXPECT_NEAR(pred.total.lower, 0.10, 1e-12);  // 0.5*0.1 + 0.5*0.1
   EXPECT_NEAR(pred.total.upper, 0.10, 1e-12);
+}
+
+// The surface snaps any thread count to its nearest sweep point, so
+// predict() itself must refuse arguments no application can have.
+TEST(Model, PredictRejectsGarbageArguments) {
+  const SlackModel model{ResponseSurface::from_sweep(synthetic_sweep())};
+  trace::Trace t;
+  gpu::OpRecord k;
+  k.kind = gpu::OpKind::kKernel;
+  k.name = "k";
+  k.end = SimTime{10'000};
+  t.add_op(k);
+
+  const auto expect_rejected = [&](int parallelism, SimDuration slack, const char* names) {
+    try {
+      (void)model.predict(t, parallelism, slack);
+      ADD_FAILURE() << "predicted at parallelism " << parallelism << ", slack " << slack.ns();
+    } catch (const Error& e) {
+      const std::string what{e.what()};
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << what;
+      EXPECT_NE(what.find(names), std::string::npos) << what;
+    }
+  };
+  for (const int parallelism : {0, -1, std::numeric_limits<int>::min()}) {
+    expect_rejected(parallelism, 10_us, "parallelism");
+  }
+  expect_rejected(1, SimDuration{-1}, "negative slack");
+  expect_rejected(4, SimDuration::zero() - 10_us, "negative slack");
+  // Parallelism is checked first.
+  expect_rejected(0, SimDuration::zero() - 10_us, "parallelism");
+
+  EXPECT_NO_THROW((void)model.predict(t, 1, SimDuration::zero()));
+  EXPECT_NO_THROW((void)model.predict(t, std::numeric_limits<int>::max(), 1_ms));
 }
 
 TEST(Model, SelfValidationOnRealProxyTrace) {

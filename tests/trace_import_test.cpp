@@ -191,7 +191,10 @@ TEST(TraceImport, ErrorsAreSpecific) {
     }
   }
   // Numeric cells are validated before any cast to an integer type; each
-  // rejection names the line and the field.
+  // rejection names the line and the field. The grammar is decimal only,
+  // with nothing around the number: a leading blank or '+' and a hex value
+  // are bad values, and so is a subnormal magnitude (strtod's range error).
+  // Each row would be valid with the cell read as 5 (or 16, or 0).
   struct BadCell {
     const char* row;
     const char* field;
@@ -209,6 +212,12 @@ TEST(TraceImport, ErrorsAreSpecific) {
            BadCell{"memcpy_h2d,k,0,0,0,1,2,-5", "bytes"},
            BadCell{"memcpy_h2d,k,0,0,0,1,2,1.5", "bytes"},
            BadCell{"memcpy_h2d,k,0,0,0,1,2,1e20", "bytes"},
+           BadCell{"kernel,k, 5,0,0,1,2,0", "context"},
+           BadCell{"kernel,k,0,\t5,0,1,2,0", "process"},
+           BadCell{"kernel,k,0,0,0,\r1,2,0", "start_us"},
+           BadCell{"kernel,k,0,0,0,1,+5,0", "end_us"},
+           BadCell{"memcpy_h2d,k,0,0,0,1,2,0x10", "bytes"},
+           BadCell{"kernel,k,0,0,1e-320,1,2,0", "submit_us"},
        }) {
     std::istringstream in{std::string{"kind,name,context,process,submit_us,start_us,end_us,"
                                       "bytes\n"} +
