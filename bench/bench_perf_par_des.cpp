@@ -4,13 +4,13 @@
 // Three sections:
 //   1. Partition-count x thread-count sweep of a synthetic delay-loop
 //      workload (64 partitions of concurrent 1us delay loops, no
-//      cross-partition traffic): aggregate events/s is the headline
-//      scaling figure, measured as ParallelEngine::executed_events() over
-//      wall time.
-//   2. The same sweep over a message-heavy token-ring workload where the
-//      lookahead window genuinely bites: records the deterministic
-//      lookahead-stall fraction (stalled partition-epochs over
-//      partition-epochs).
+//      cross-partition traffic, so no lookahead edges and one epoch):
+//      aggregate events/s is the headline scaling figure, measured as
+//      ParallelEngine::executed_events() over wall time.
+//   2. The same sweep over a message-heavy token ring whose lookahead
+//      graph is the ring at each edge's exact forwarding delay: records
+//      the deterministic epoch count and lookahead-stall fraction
+//      (stalled partition-epochs over partition-epochs).
 //   3. A 512-GPU PartitionedRow training step (ring allreduce over the
 //      row fabric) — the paper-scale composition the partitioned engine
 //      exists for — with its deterministic digest.
@@ -60,14 +60,13 @@ struct SweepCell {
 };
 
 /// Delay-loop cell: `tasks_per_partition` concurrent 1us delay loops per
-/// partition, no messages. The wide lookahead batches ~1000 events per
-/// partition-epoch, so the barrier cost amortizes and the cell measures
-/// raw partitioned event throughput.
+/// partition, no messages. Nothing crosses partitions, so the engine
+/// declares no lookahead edge and drains every partition in one epoch:
+/// the cell measures raw partitioned event throughput.
 SweepCell run_delay_loop(int partitions, int threads, int hops) {
   using namespace rsd::literals;
   constexpr int kTasksPerPartition = 4;
-  rsd::sim::ParallelEngine eng{
-      partitions, {.threads = threads, .lookahead = rsd::duration::microseconds(1000.0)}};
+  rsd::sim::ParallelEngine eng{partitions, {}, {.threads = threads}};
   for (int p = 0; p < partitions; ++p) {
     auto& part = eng.partition(static_cast<rsd::sim::PartitionId>(p));
     for (int t = 0; t < kTasksPerPartition; ++t) {
@@ -91,31 +90,24 @@ SweepCell run_delay_loop(int partitions, int threads, int hops) {
   return cell;
 }
 
-/// Token-ring cell: every partition forwards a token to its ring neighbor
-/// each microsecond (lookahead = the forwarding delay), so partitions
-/// genuinely wait on each other and the stall accounting is exercised.
-/// With `matrix` set the engine gets the ring's lookahead-edge graph
-/// instead of the single global window: horizons become distance-aware
-/// (partition j waits on its predecessor's clock plus the declared edge
-/// bound, not the global minimum) and the stall fraction drops — same
-/// events, same messages. The edge bounds are exact here: partition p
-/// always forwards with delay 1 + p%4 us (partition counts are multiples
-/// of 4, so hop%4 == p%4), which is the kind of per-link knowledge a
-/// topology hands the engine.
-SweepCell run_token_ring(int partitions, int threads, int hops_per_token, bool matrix) {
-  rsd::sim::ParallelEngine eng{
-      partitions, {.threads = threads, .lookahead = rsd::duration::microseconds(1.0)}};
-  if (matrix) {
-    std::vector<rsd::sim::LookaheadEdge> edges;
-    edges.reserve(static_cast<std::size_t>(partitions));
-    for (int p = 0; p < partitions; ++p) {
-      edges.push_back(rsd::sim::LookaheadEdge{
-          static_cast<rsd::sim::PartitionId>(p),
-          static_cast<rsd::sim::PartitionId>((p + 1) % partitions),
-          rsd::duration::microseconds(1.0 + p % 4)});
-    }
-    eng.set_lookahead_edges(edges);
+/// Token-ring cell: every partition forwards tokens to its ring neighbor,
+/// so partitions genuinely wait on each other and the stall accounting is
+/// exercised. The lookahead graph is the ring, each edge at its exact
+/// bound: partition p always forwards with delay 1 + p%4 us (partition
+/// counts are multiples of 4, so hop%4 == p%4), which is the kind of
+/// per-link knowledge a topology hands the engine. Horizons are
+/// distance-aware: partition j waits on its predecessor's clock plus the
+/// declared edge bound, not on the global minimum.
+SweepCell run_token_ring(int partitions, int threads, int hops_per_token) {
+  std::vector<rsd::sim::LookaheadEdge> edges;
+  edges.reserve(static_cast<std::size_t>(partitions));
+  for (int p = 0; p < partitions; ++p) {
+    edges.push_back(rsd::sim::LookaheadEdge{
+        static_cast<rsd::sim::PartitionId>(p),
+        static_cast<rsd::sim::PartitionId>((p + 1) % partitions),
+        rsd::duration::microseconds(1.0 + p % 4)});
   }
+  rsd::sim::ParallelEngine eng{partitions, edges, {.threads = threads}};
 
   struct Token {
     rsd::sim::ParallelEngine* eng;
@@ -127,9 +119,9 @@ SweepCell run_token_ring(int partitions, int threads, int hops_per_token, bool m
       if (remaining == 0) return;
       const auto here = static_cast<rsd::sim::PartitionId>(hop % partitions);
       const auto next = static_cast<rsd::sim::PartitionId>((hop + 1) % partitions);
-      // Hop delays of 1..4 us (lookahead 1 us) desynchronize the tokens:
-      // partitions regularly hold work beyond the horizon, so the stall
-      // accounting is exercised for real.
+      // Hop delays of 1..4 us desynchronize the tokens: partitions
+      // regularly hold work beyond the horizon, so the stall accounting is
+      // exercised for real.
       const auto delay = rsd::duration::microseconds(1.0 + hop % 4);
       eng->partition(here).send(next, delay, Token{eng, partitions, hop + 1, remaining - 1});
     }
@@ -171,42 +163,28 @@ RSD_EXPERIMENT(perf_par_des, "perf_par_des", "micro",
   const std::vector<int> thread_counts{1, 2, 4, 8};
 
   Table sweep_table{{"Workload", "Parts", "Threads", "Events", "Stall %", "Events/s"}};
+  const auto record = [&](const char* section, const SweepCell& cell) {
+    csv.row(section, cell.partitions, cell.threads, cell.events, cell.epochs, cell.messages,
+            cell.stalled, cell.stall_fraction());
+    sweep_table.add_row_vec({section, std::to_string(cell.partitions),
+                             std::to_string(cell.threads), std::to_string(cell.events),
+                             fmt_fixed(cell.stall_fraction() * 100.0, 2),
+                             fmt_fixed(cell.events_per_s() / 1e6, 1) + " M"});
+  };
   std::vector<SweepCell> delay_cells;
   for (const int partitions : partition_counts) {
     for (const int threads : thread_counts) {
       // Constant total work per partition count so cells are comparable.
       const int hops = 100'000 / (partitions / 16);
-      const SweepCell cell = run_delay_loop(partitions, threads, hops);
-      delay_cells.push_back(cell);
-      csv.row("delay_loop", cell.partitions, cell.threads, cell.events, cell.epochs,
-              cell.messages, cell.stalled, cell.stall_fraction());
-      sweep_table.add_row_vec({"delay_loop", std::to_string(cell.partitions),
-                               std::to_string(cell.threads), std::to_string(cell.events),
-                               fmt_fixed(cell.stall_fraction() * 100.0, 2),
-                               fmt_fixed(cell.events_per_s() / 1e6, 1) + " M"});
+      delay_cells.push_back(run_delay_loop(partitions, threads, hops));
+      record("delay_loop", delay_cells.back());
     }
   }
 
-  // Token ring twice per cell: once under the single global lookahead,
-  // once with the ring's lookahead-edge matrix — identical events and
-  // messages, distance-aware horizons, fewer stalls.
-  double ring_stall_global = 0.0;
-  double ring_stall_matrix = 0.0;
-  for (const bool matrix : {false, true}) {
-    const char* section = matrix ? "token_ring_matrix" : "token_ring";
-    for (const int partitions : partition_counts) {
-      for (const int threads : thread_counts) {
-        const SweepCell cell = run_token_ring(partitions, threads, 2'000, matrix);
-        csv.row(section, cell.partitions, cell.threads, cell.events, cell.epochs,
-                cell.messages, cell.stalled, cell.stall_fraction());
-        sweep_table.add_row_vec({section, std::to_string(cell.partitions),
-                                 std::to_string(cell.threads), std::to_string(cell.events),
-                                 fmt_fixed(cell.stall_fraction() * 100.0, 2),
-                                 fmt_fixed(cell.events_per_s() / 1e6, 1) + " M"});
-        if (cell.partitions == 64 && cell.threads == 1) {
-          (matrix ? ring_stall_matrix : ring_stall_global) = cell.stall_fraction();
-        }
-      }
+  // `token_ring_matrix`: the token ring on its lookahead-edge matrix.
+  for (const int partitions : partition_counts) {
+    for (const int threads : thread_counts) {
+      record("token_ring_matrix", run_token_ring(partitions, threads, 2'000));
     }
   }
 
@@ -255,16 +233,13 @@ RSD_EXPERIMENT(perf_par_des, "perf_par_des", "micro",
   row_table.add_row_vec({"Wall time", fmt_fixed(row_wall_s, 2) + " s"});
   row_table.add_row_vec({"Horizon gain",
                          fmt_fixed(static_cast<double>(row_eng.horizon_gain_ns()) / 1e6, 2) +
-                             " ms (matrix)"});
+                             " ms"});
   row_table.add_row_vec({"Digest", std::to_string(row.digest())});
   row_table.print(ctx.out());
   ctx.out() << "[perf_par_des] 64-partition delay loop: "
             << fmt_fixed(seq_rate / 1e6, 1) << " M events/s sequential, best "
             << fmt_fixed(best_rate / 1e6, 1) << " M events/s at " << best_threads
             << " threads (" << fmt_fixed(best_rate / seq_rate, 2) << "x)\n";
-  ctx.out() << "[perf_par_des] token-ring stall fraction (64 parts, 1 thread): "
-            << fmt_fixed(ring_stall_global * 100.0, 2) << "% global lookahead vs "
-            << fmt_fixed(ring_stall_matrix * 100.0, 2) << "% with the lookahead matrix\n";
 
   ctx.save_csv("perf_par_des", csv);
 }

@@ -27,7 +27,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -38,16 +37,16 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/env.hpp"
+
 namespace rsd::exec {
 
 /// Worker count used by `Pool::global()`: the `RSD_THREADS` environment
-/// variable when set to a positive integer, else hardware concurrency,
-/// always at least 1.
+/// variable when set (an integer >= 1; anything else throws
+/// rsd::Error{kInvalidArgument}, see rsd::env_count), else hardware
+/// concurrency, always at least 1.
 [[nodiscard]] inline int default_thread_count() {
-  if (const char* env = std::getenv("RSD_THREADS")) {
-    const int v = std::atoi(env);
-    if (v >= 1) return v;
-  }
+  if (const auto n = env_count("RSD_THREADS")) return *n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? static_cast<int>(hw) : 1;
 }

@@ -1,19 +1,13 @@
 #include "exec/team.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "core/env.hpp"
 #include "obs/metrics.hpp"
 
 namespace rsd::exec {
 
-int default_sim_thread_count() {
-  if (const char* env = std::getenv("RSD_SIM_THREADS")) {
-    const int v = std::atoi(env);
-    if (v >= 1) return v;
-  }
-  return 1;
-}
+int default_sim_thread_count() { return env_count("RSD_SIM_THREADS").value_or(1); }
 
 Team::Team(int threads) : size_(std::max(1, threads)) {
   obs::Registry::global().gauge("exec.team_size").set(static_cast<double>(size_));

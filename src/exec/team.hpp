@@ -41,7 +41,8 @@
 namespace rsd::exec {
 
 /// Worker count for one partitioned simulation: the `RSD_SIM_THREADS`
-/// environment variable when set to a positive integer, else 1 (a
+/// environment variable when set (an integer >= 1; anything else throws
+/// rsd::Error{kInvalidArgument}, see rsd::env_count), else 1 (a
 /// sequential engine). Deliberately NOT hardware concurrency: parallel
 /// intra-simulation execution is opt-in, while `RSD_THREADS` (cross-run
 /// fan-out, see pool.hpp) defaults wide. An explicit `--sim-threads` /

@@ -55,10 +55,8 @@ Chassis::Chassis(sim::Scheduler& sched, ChassisParams params)
       .gpus_per_chassis = params_.gpus_per_chassis,
       .link_bandwidth_gib_s = params_.fabric.bandwidth_gib_s,
       .link_latency = params_.fabric.latency,
-      .ocs_reconfigure = params_.ocs_reconfigure,
       .chassis_nics = params_.chassis_nics,
-      .max_chassis = params_.max_chassis,
-      .host_endpoint = params_.host_endpoint,
+      .host_endpoint = params_.chassis_nics,
   });
   // The event-driven row network exists only when the graph has NIC nodes:
   // flat chassis must not register quiesce hooks or acquire tracer

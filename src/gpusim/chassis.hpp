@@ -62,20 +62,15 @@ struct ChassisParams {
   /// Grouping tag for the hierarchical algorithm: device i belongs to
   /// group i / gpus_per_chassis.
   int gpus_per_chassis = 8;
-  /// Circuit retarget cost when fabric_kind is kOpticalCircuit.
-  SimDuration ocs_reconfigure = duration::microseconds(100.0);
   /// Multi-chassis machine graph: emit per-chassis NICs and inter-chassis
-  /// fibre (net::FabricParams::chassis_nics). Cross-chassis collective
-  /// chunks then execute over an event-driven net::Network — FIFO link
-  /// contention, OCS circuits, and the express fast path included —
-  /// instead of the analytic routed price. Off by default; flat chassis
-  /// build byte-identical graphs and timings to before.
+  /// fibre (net::FabricParams::chassis_nics) plus the CDI host endpoint
+  /// behind nic0, which Context transport bindings route host<->GPU
+  /// traffic through. Cross-chassis collective chunks then execute over an
+  /// event-driven net::Network — FIFO link contention, OCS circuits, and
+  /// the express fast path included — instead of the analytic routed
+  /// price. Off by default; flat chassis build byte-identical graphs and
+  /// timings to before.
   bool chassis_nics = false;
-  /// Also emit the CDI host endpoint behind nic0 (requires chassis_nics);
-  /// what Context transport bindings route host<->GPU traffic through.
-  bool host_endpoint = false;
-  /// Chassis-count cap forwarded to net::build_fabric (0 = unlimited).
-  int max_chassis = 0;
 };
 
 class Chassis {
@@ -91,7 +86,7 @@ class Chassis {
   /// (chassis_nics). Lazy so flat chassis register no quiesce hooks and
   /// acquire no tracer timelines — their observable output is unchanged.
   [[nodiscard]] net::Network* network() { return net_.get(); }
-  /// The CDI host endpoint node (host_endpoint), or net::kInvalidNode.
+  /// The CDI host endpoint node (chassis_nics), or net::kInvalidNode.
   [[nodiscard]] net::NodeId host_node() const {
     return topo_.host_count() > 0 ? topo_.host(0) : net::kInvalidNode;
   }

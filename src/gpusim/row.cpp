@@ -21,7 +21,6 @@ net::Topology build_row_topology(const RowParams& params) {
       .gpus_per_chassis = params.gpus_per_chassis,
       .link_bandwidth_gib_s = params.fabric.bandwidth_gib_s,
       .link_latency = params.fabric.latency,
-      .ocs_reconfigure = params.ocs_reconfigure,
       .chassis_nics = params.chassis_nics,
   });
 }
@@ -181,6 +180,21 @@ std::vector<PartitionedRow::RingEdge> PartitionedRow::route_ring(const net::Topo
   return ring;
 }
 
+/// The row's lookahead is its ring edges: the only remote sends are chunk
+/// posts over ring edges that leave a chassis, each at that edge's routed
+/// latency, so the lookahead graph is the chassis ring with that bound per
+/// edge. A one-chassis row declares no edge and drains in a single epoch.
+std::vector<sim::LookaheadEdge> PartitionedRow::ring_lookahead(
+    const std::vector<sim::PartitionId>& part_of, const std::vector<RingEdge>& ring) {
+  std::vector<sim::LookaheadEdge> edges;
+  for (std::size_t rank = 0; rank < ring.size(); ++rank) {
+    const sim::PartitionId src = part_of[rank];
+    const sim::PartitionId dst = part_of[(rank + 1) % ring.size()];
+    if (src != dst) edges.push_back(sim::LookaheadEdge{src, dst, ring[rank].latency});
+  }
+  return edges;
+}
+
 PartitionedRow::PartitionedRow(RowParams params)
     : params_(std::move(params)),
       owned_topo_(build_row_topology(params_)),
@@ -188,18 +202,8 @@ PartitionedRow::PartitionedRow(RowParams params)
       part_of_(chassis_partitions(*topo_, params_.gpus)),
       ring_(route_ring(*topo_, params_)),
       engine_(static_cast<int>(*std::max_element(part_of_.begin(), part_of_.end())) + 1,
+              ring_lookahead(part_of_, ring_),
               {.threads = params_.sim_threads, .jitter_seed = params_.jitter_seed}) {
-  // The row's lookahead is its ring edges: the only remote sends are chunk
-  // posts over ring edges that leave a chassis, each at that edge's routed
-  // latency, so the lookahead graph is the chassis ring with that bound per
-  // edge. A one-chassis row declares no edge and drains in a single epoch.
-  std::vector<sim::LookaheadEdge> edges;
-  for (std::size_t rank = 0; rank < ring_.size(); ++rank) {
-    const sim::PartitionId src = part_of_[rank];
-    const sim::PartitionId dst = part_of_[(rank + 1) % ring_.size()];
-    if (src != dst) edges.push_back(sim::LookaheadEdge{src, dst, ring_[rank].latency});
-  }
-  engine_.set_lookahead_edges(edges);
   ranks_.reserve(part_of_.size());
   for (const sim::PartitionId part : part_of_) {
     ranks_.emplace_back(new Rank{engine_.partition(part).scheduler(), params_.device_params});

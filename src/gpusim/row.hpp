@@ -17,7 +17,7 @@
 // from `fabric_kind` and the link characteristics in `fabric`). The
 // row's lookahead is its ring edges: the constructor routes each edge
 // once, and the chassis-crossing ones become the engine's lookahead
-// matrix, each bounded by its routed latency — no chunk can arrive sooner
+// graph, each bounded by its routed latency — no chunk can arrive sooner
 // than its edge's path delivers it, which is exactly the slack the engine
 // needs to run chassis in parallel. A ring edge with zero latency cannot
 // bound message arrival and is rejected with rsd::Error{kInvalidArgument}.
@@ -82,8 +82,6 @@ struct RowParams {
   /// NIC/fibre path *per edge* — the ring is no longer rank-symmetric.
   /// False keeps the flat single-graph row, byte-identical to before.
   bool chassis_nics = false;
-  /// Circuit retarget cost when fabric_kind is kOpticalCircuit.
-  SimDuration ocs_reconfigure = duration::microseconds(100.0);
   /// Worker threads for the engine; <= 0 resolves RSD_SIM_THREADS, else 1.
   int sim_threads = 0;
   /// Non-zero: seeded worker-claim jitter (determinism stress testing).
@@ -145,6 +143,8 @@ class PartitionedRow {
   friend struct RowArrival;
 
   static std::vector<RingEdge> route_ring(const net::Topology& topo, const RowParams& params);
+  static std::vector<sim::LookaheadEdge> ring_lookahead(
+      const std::vector<sim::PartitionId>& part_of, const std::vector<RingEdge>& ring);
   sim::Task<> rank_loop(int rank, const RowTraining& training);
 
   RowParams params_;

@@ -233,8 +233,9 @@ int run_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& 
     }
   }
   options.out = &out;
-  // Context construction resolves env-var knobs (RSD_GPUS_PER_CHASSIS,
-  // ...), which can reject malformed values — a usage error, not a crash.
+  // Context construction resolves the integer env-var knobs (RSD_THREADS,
+  // RSD_SIM_THREADS, RSD_GPUS_PER_CHASSIS), which reject malformed values
+  // — a usage error, not a crash.
   std::optional<ExperimentContext> ctx_storage;
   try {
     ctx_storage.emplace(options);

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "core/csv.hpp"
-#include "core/error.hpp"
+#include "core/env.hpp"
 #include "core/paths.hpp"
 #include "exec/team.hpp"
 #include "obs/tracer.hpp"
@@ -27,18 +27,7 @@ std::string resolve_fabric(const ExperimentContext::Options& options) {
 
 int resolve_gpus_per_chassis(const ExperimentContext::Options& options) {
   if (options.gpus_per_chassis > 0) return options.gpus_per_chassis;
-  if (const char* env = std::getenv("RSD_GPUS_PER_CHASSIS");
-      env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || n < 1) {
-      throw Error{ErrorCode::kInvalidArgument,
-                  "RSD_GPUS_PER_CHASSIS expects an integer >= 1, got '" +
-                      std::string{env} + "'"};
-    }
-    return static_cast<int>(n);
-  }
-  return 0;
+  return env_count("RSD_GPUS_PER_CHASSIS").value_or(0);
 }
 
 }  // namespace

@@ -123,7 +123,9 @@ NodeId wire_chassis(Topology& topo, const FabricParams& params,
 /// the per-chassis NICs (a ring of NICs, a NIC full mesh, or a row-level
 /// switch). Optionally a kHost endpoint attaches behind a PCIe stub into
 /// nic0 — the CDI host-side entry the transport binding routes through.
-void build_multi_chassis(Topology& topo, const FabricParams& params, int chassis_count) {
+void build_multi_chassis(Topology& topo, const FabricParams& params) {
+  const int chassis_count =
+      (params.gpus + params.gpus_per_chassis - 1) / params.gpus_per_chassis;
   std::vector<NodeId> nics;
   nics.reserve(static_cast<std::size_t>(chassis_count));
   for (int c = 0; c < chassis_count; ++c) {
@@ -203,20 +205,6 @@ Topology build_fabric(const FabricParams& params) {
     throw Error{ErrorCode::kInvalidArgument,
                 "net::build_fabric: gpus_per_chassis must be >= 1"};
   }
-  if (params.max_chassis < 0) {
-    throw Error{ErrorCode::kInvalidArgument, "net::build_fabric: max_chassis must be >= 0"};
-  }
-  const int chassis_count =
-      (params.gpus + params.gpus_per_chassis - 1) / params.gpus_per_chassis;
-  if (params.max_chassis > 0 && chassis_count > params.max_chassis) {
-    throw Error{ErrorCode::kInvalidArgument,
-                "net::build_fabric: " + std::to_string(params.gpus) + " gpus at " +
-                    std::to_string(params.gpus_per_chassis) +
-                    " per chassis needs " + std::to_string(chassis_count) +
-                    " chassis, more than max_chassis = " +
-                    std::to_string(params.max_chassis) +
-                    " (raise max_chassis or gpus_per_chassis)"};
-  }
   if (params.host_endpoint && !params.chassis_nics) {
     throw Error{ErrorCode::kInvalidArgument,
                 "net::build_fabric: host_endpoint requires chassis_nics (the host "
@@ -227,7 +215,7 @@ Topology build_fabric(const FabricParams& params) {
   add_gpus(topo, params);
 
   if (params.chassis_nics) {
-    build_multi_chassis(topo, params, chassis_count);
+    build_multi_chassis(topo, params);
   } else {
     std::vector<NodeId> devices;
     devices.reserve(static_cast<std::size_t>(params.gpus));

@@ -64,9 +64,6 @@ struct FabricParams {
   /// row-level switch). Off by default: flat fabrics keep chassis as a
   /// pure grouping tag and build byte-identical graphs to before.
   bool chassis_nics = false;
-  /// Upper bound on chassis count (0 = unlimited). With a bound set,
-  /// build_fabric rejects shapes needing more chassis than the row has.
-  int max_chassis = 0;
   /// Also emit a kHost endpoint behind a PCIe stub into nic0 — the CDI
   /// host-side attach point replay's transport binding routes through.
   bool host_endpoint = false;

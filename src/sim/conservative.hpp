@@ -2,7 +2,9 @@
 //
 // Shards one simulation across `Partition`s (per device/chassis; see
 // partition.hpp) and advances them in *epochs* under conservative
-// lookahead:
+// lookahead. The lookahead is a graph declared at construction: each
+// `LookaheadEdge` src -> dst carries the minimum delay of any send on it
+// (e.g. the fabric's routed path latency). Each epoch:
 //
 //   1. route   — a serial O(messages) pass moves every message sent last
 //                epoch into its destination's inbox (replacing each of P
@@ -10,32 +12,25 @@
 //                per-epoch walk dominated wall time on a 512-GPU row);
 //   2. a_i     = earliest instant partition i can still act (its next
 //                local event or an undelivered inbound message);
-//   3. horizon — per partition. With the default *global* lookahead L,
-//                every horizon is min_i(a_i) + L. With a declared
-//                *lookahead-edge matrix* (set_lookahead_edges: each edge
-//                src -> dst carries the minimum delay of any send on it,
-//                e.g. the fabric's routed path latency), partition j's
-//                horizon is the earliest any message chain could still
-//                reach it: min over paths i -> ... -> j in the edge graph
-//                of a_i + (sum of edge lookaheads) — one multi-source
-//                Dijkstra per epoch, seeded with a_i. Distance-aware
-//                horizons advance much further than min+L when activity
-//                is spread out, so stalls drop; a partition no chain can
-//                reach drains its queue entirely;
+//   3. horizon — per partition: j's horizon is the earliest any message
+//                chain could still reach it, min over paths i -> ... -> j
+//                in the edge graph of a_i + (sum of edge lookaheads) — one
+//                multi-source Dijkstra per epoch, seeded with a_i. A
+//                partition no chain can reach drains its queue entirely,
+//                so an engine without edges runs in one epoch;
 //   4. all partitions, in parallel on an `exec::Team`, deliver their
 //                inbox, then run their local queues up to (not including)
 //                their horizon;
 //   5. barrier; outbox buffers flip; repeat until no work remains.
 //
 // This is the global-epoch-barrier member of the conservative family
-// (null-message-free CMB): slack windows and cross-chassis link/copy
-// latencies give the lookahead, and every epoch retires at least the
-// events in [min a_i, min a_i + L_min) — guaranteed progress, no deadlock
-// protocol. The matrix is sound for the same reason the global bound is:
-// messages deliver only at epoch starts, so anything partition i sends
-// during this epoch leaves no earlier than a_i, and every edge hop adds
-// at least its declared lookahead (send() asserts per-pair minimum
-// delays; sends over undeclared pairs are rejected in matrix mode).
+// (null-message-free CMB). It is sound because messages deliver only at
+// epoch starts, so anything partition i sends during this epoch leaves no
+// earlier than a_i, and every edge hop adds at least its declared
+// lookahead (send() asserts the per-pair minimum delay and rejects sends
+// over undeclared pairs). Positive edge bounds guarantee progress: every
+// epoch retires at least the events in [min a_i, min a_i + shortest edge)
+// — no deadlock protocol.
 //
 // Determinism at any thread count — the invariant every tracked CSV
 // depends on — holds by construction:
@@ -71,7 +66,7 @@
 
 namespace rsd::sim {
 
-/// One directed edge of the lookahead matrix: any message from partition
+/// One directed edge of the lookahead graph: any message from partition
 /// `src` to partition `dst` is guaranteed to carry at least `lookahead`
 /// of delay (e.g. the routed path latency between the devices the two
 /// partitions simulate).
@@ -88,32 +83,50 @@ class ParallelEngine {
     /// (the RSD_SIM_THREADS env var, else 1). Output is identical at any
     /// value — threads are a throughput knob, never a semantic one.
     int threads = 0;
-    /// Conservative lookahead: the guaranteed minimum delay of every
-    /// cross-partition send. Natural values are the injected slack window
-    /// or the cross-chassis link latency. Must be > 0.
-    SimDuration lookahead = duration::microseconds(1.0);
     /// Non-zero seeds `exec::Team` claim jitter (determinism stress tests).
     std::uint64_t jitter_seed = 0;
   };
 
-  explicit ParallelEngine(int partitions) : ParallelEngine(partitions, Options{}) {}
-
-  ParallelEngine(int partitions, Options options)
-      : lookahead_(options.lookahead),
-        threads_(options.threads > 0 ? options.threads : exec::default_sim_thread_count()),
+  /// `edges` is the lookahead graph: every remote send must travel a
+  /// declared edge with at least that edge's lookahead of delay (asserted
+  /// in send()); duplicate edges keep the smaller bound. No edges means no
+  /// partition can receive a message: every horizon is infinite and run()
+  /// drains all local work in one epoch.
+  ParallelEngine(int partitions, const std::vector<LookaheadEdge>& edges, Options options)
+      : threads_(options.threads > 0 ? options.threads : exec::default_sim_thread_count()),
         team_(threads_) {
     RSD_ASSERT(partitions >= 1);
-    RSD_ASSERT(lookahead_.ns() > 0);
     if (options.jitter_seed != 0) team_.set_claim_jitter(options.jitter_seed);
-    parts_.reserve(static_cast<std::size_t>(partitions));
-    for (int i = 0; i < partitions; ++i) {
+    const auto n = static_cast<std::size_t>(partitions);
+    parts_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       parts_.emplace_back(new Partition{*this, static_cast<PartitionId>(i)});
     }
-    slots_.resize(parts_.size());
-    scratch_.resize(parts_.size());
-    timelines_.resize(parts_.size());
-    inflight_.resize(parts_.size());
-    avail_.resize(parts_.size());
+    slots_.resize(n);
+    scratch_.resize(n);
+    timelines_.resize(n);
+    inflight_.resize(n);
+    avail_.resize(n);
+
+    edge_min_ns_.assign(n * n, kNoEdge);
+    for (const LookaheadEdge& e : edges) {
+      RSD_ASSERT(static_cast<std::size_t>(e.src) < n);
+      RSD_ASSERT(static_cast<std::size_t>(e.dst) < n);
+      RSD_ASSERT(e.src != e.dst);
+      RSD_ASSERT(e.lookahead.ns() > 0);
+      std::int64_t& cell = edge_min_ns_[e.src * n + e.dst];
+      cell = std::min(cell, e.lookahead.ns());
+      min_edge_ns_ = std::min(min_edge_ns_, e.lookahead.ns());
+    }
+    out_edges_.resize(n);
+    for (std::size_t src = 0; src < n; ++src) {
+      for (std::size_t dst = 0; dst < n; ++dst) {
+        const std::int64_t ns = edge_min_ns_[src * n + dst];
+        if (ns != kNoEdge) {
+          out_edges_[src].push_back({static_cast<PartitionId>(dst), ns});
+        }
+      }
+    }
   }
 
   /// Partition teardown frees coroutine frames into the owning arenas, so
@@ -130,53 +143,14 @@ class ParallelEngine {
 
   [[nodiscard]] int size() const { return static_cast<int>(parts_.size()); }
   [[nodiscard]] int threads() const { return threads_; }
-  [[nodiscard]] SimDuration lookahead() const { return lookahead_; }
   [[nodiscard]] Partition& partition(PartitionId id) {
     return *parts_.at(static_cast<std::size_t>(id));
   }
 
-  /// Declare the lookahead-edge matrix and switch horizon computation to
-  /// distance-aware mode. Every remote send must then travel a declared
-  /// edge with at least that edge's lookahead of delay (asserted in
-  /// send()); duplicate edges keep the smaller bound. An empty list is
-  /// legal: no partition can then receive a message, every horizon is
-  /// infinite, and run() drains all local work in one epoch. Call before
-  /// run().
-  void set_lookahead_edges(const std::vector<LookaheadEdge>& edges) {
-    const std::size_t n = parts_.size();
-    constexpr std::int64_t kNoEdge = std::numeric_limits<std::int64_t>::max();
-    edge_min_ns_.assign(n * n, kNoEdge);
-    std::int64_t min_edge = kNoEdge;
-    for (const LookaheadEdge& e : edges) {
-      RSD_ASSERT(static_cast<std::size_t>(e.src) < n);
-      RSD_ASSERT(static_cast<std::size_t>(e.dst) < n);
-      RSD_ASSERT(e.src != e.dst);
-      RSD_ASSERT(e.lookahead.ns() > 0);
-      std::int64_t& cell = edge_min_ns_[e.src * n + e.dst];
-      cell = std::min(cell, e.lookahead.ns());
-      min_edge = std::min(min_edge, e.lookahead.ns());
-    }
-    out_edges_.assign(n, {});
-    for (std::size_t src = 0; src < n; ++src) {
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        const std::int64_t ns = edge_min_ns_[src * n + dst];
-        if (ns != kNoEdge) {
-          out_edges_[src].push_back({static_cast<PartitionId>(dst), ns});
-        }
-      }
-    }
-    min_edge_ns_ = min_edge;
-    matrix_mode_ = true;
-  }
-
-  /// True once set_lookahead_edges() switched horizons to matrix mode.
-  [[nodiscard]] bool lookahead_matrix() const { return matrix_mode_; }
-
-  /// The minimum legal delay of a send from `src` to `dst`: the global
-  /// lookahead, or — in matrix mode — the declared edge bound (an
-  /// undeclared pair is unbounded, i.e. the send is rejected).
+  /// The minimum legal delay of a send from `src` to `dst`: the declared
+  /// edge bound (an undeclared pair is unbounded, i.e. the send is
+  /// rejected).
   [[nodiscard]] SimDuration min_send_delay(PartitionId src, PartitionId dst) const {
-    if (!matrix_mode_) return lookahead_;
     return duration::nanoseconds(
         edge_min_ns_[static_cast<std::size_t>(src) * parts_.size() + dst]);
   }
@@ -227,15 +201,6 @@ class ParallelEngine {
     flush_metrics(epochs_ - epochs_before, horizon_gain_ns_ - gain_before);
   }
 
-  /// Prime the per-partition next-event slots from the schedulers. run()
-  /// calls this on entry (work spawned between runs is picked up); also
-  /// useful to tests that inspect scheduling state before running.
-  void refresh() {
-    for (std::size_t i = 0; i < parts_.size(); ++i) {
-      slots_[i].next_time = parts_[i]->sched_.next_event_time();
-    }
-  }
-
   // -- Aggregate statistics (all deterministic) ---------------------------
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
   [[nodiscard]] std::uint64_t executed_events() const {
@@ -257,8 +222,8 @@ class ParallelEngine {
     return n;
   }
   /// Cumulative extra horizon (ns, summed over partition-epochs) the
-  /// lookahead matrix won over the global-lookahead bound `min a_i +
-  /// min-edge`. Zero in global mode; non-negative by construction.
+  /// lookahead graph won over the uniform bound `min a_i + shortest edge`.
+  /// Non-negative by construction; zero without edges.
   [[nodiscard]] std::uint64_t horizon_gain_ns() const { return horizon_gain_ns_; }
   [[nodiscard]] std::size_t unfinished_count() const {
     std::size_t n = 0;
@@ -308,19 +273,21 @@ class ParallelEngine {
     };
   };
 
-  /// Distance-aware per-partition horizons. Global mode: everyone gets
-  /// t_min + lookahead. Matrix mode: one multi-source Dijkstra over the
-  /// lookahead-edge graph, seeded with a_i — the earliest activity e_i of
+  /// Prime the per-partition next-event slots from the schedulers. run()
+  /// calls this on entry, so work spawned between runs is picked up.
+  void refresh() {
+    for (std::size_t i = 0; i < parts_.size(); ++i) {
+      slots_[i].next_time = parts_[i]->sched_.next_event_time();
+    }
+  }
+
+  /// Distance-aware per-partition horizons: one multi-source Dijkstra over
+  /// the lookahead graph, seeded with a_i — the earliest activity e_i of
   /// each partition — so h_j = min over in-edges (i, j) of e_i + L_ij is
   /// the earliest instant any message chain could still reach j. Ties
   /// break on (time, partition id): pure simulation state, thread-safe by
   /// running serially between epochs.
   void compute_horizons(SimTime t_min) {
-    if (!matrix_mode_) {
-      const SimTime h = t_min + lookahead_;
-      for (auto& s : slots_) s.horizon = h;
-      return;
-    }
     const std::size_t n = parts_.size();
     dist_.assign(n, SimTime::max());
     arrive_.assign(n, SimTime::max());
@@ -473,8 +440,8 @@ class ParallelEngine {
   };
 
   static constexpr std::size_t kEpochRingCapacity = 1u << 12;
+  static constexpr std::int64_t kNoEdge = std::numeric_limits<std::int64_t>::max();
 
-  SimDuration lookahead_;
   int threads_;
   exec::Team team_;
   std::vector<std::unique_ptr<Partition>> parts_;
@@ -487,11 +454,10 @@ class ParallelEngine {
   std::uint64_t epochs_ = 0;
   std::int32_t sim_id_ = -1;  ///< Tracer timeline id, acquired at first flush.
 
-  // Lookahead matrix (matrix_mode_): dense per-pair minimum send delays
-  // (kNoEdge-filled; send() asserts against it), adjacency lists for the
-  // per-epoch horizon Dijkstra, and reusable scratch for that search.
-  bool matrix_mode_ = false;
-  std::int64_t min_edge_ns_ = 0;
+  // Lookahead graph: dense per-pair minimum send delays (kNoEdge-filled;
+  // send() asserts against it), adjacency lists for the per-epoch horizon
+  // Dijkstra, and reusable scratch for that search.
+  std::int64_t min_edge_ns_ = kNoEdge;
   std::vector<std::int64_t> edge_min_ns_;
   std::vector<std::vector<std::pair<PartitionId, std::int64_t>>> out_edges_;
   std::vector<SimTime> dist_;
@@ -508,10 +474,9 @@ inline void Partition::send(PartitionId dst, SimDuration delay, CrossCall call) 
     sched_.spawn_at(deliver(std::move(call)), at);
     return;
   }
-  // Global mode: every remote send obeys the one lookahead. Matrix mode:
-  // it obeys the declared (src, dst) edge bound — and an undeclared pair
-  // is unbounded, so the assert also rejects sends the matrix never
-  // promised the horizon computation.
+  // A remote send obeys the declared (src, dst) edge bound — and an
+  // undeclared pair is unbounded, so the assert also rejects sends the
+  // lookahead graph never promised the horizon computation.
   RSD_ASSERT(delay >= engine_.min_send_delay(id_, dst));
   RSD_ASSERT(out_cur_ != nullptr);  // only legal inside an epoch slice
   out_cur_->push_back(RemoteMsg{at, dst, send_seq_++, std::move(call)});

@@ -90,15 +90,13 @@ class Partition {
   [[nodiscard]] ParallelEngine& engine() { return engine_; }
 
   /// Post `call` to run inside partition `dst` after `delay` of simulated
-  /// time. `delay` must be at least the engine's lookahead — the slack
-  /// window / link latency that makes conservative parallel execution
-  /// sound. Same-partition sends are allowed with any delay (they are
-  /// ordinary local events). Must be called from code executing inside
-  /// this partition (its own epoch slice).
+  /// time. A remote send must travel an edge of the engine's lookahead
+  /// graph, and `delay` must be at least that edge's lookahead — the link
+  /// latency that makes conservative parallel execution sound.
+  /// Same-partition sends are allowed with any delay (they are ordinary
+  /// local events). Must be called from code executing inside this
+  /// partition (its own epoch slice).
   void send(PartitionId dst, SimDuration delay, CrossCall call);
-
-  /// Messages posted by this partition so far (diagnostics).
-  [[nodiscard]] std::uint64_t sent_messages() const { return send_seq_; }
 
   /// Setup entry point: create and launch a root task inside this
   /// partition. `factory()` is invoked — and the coroutine frame therefore

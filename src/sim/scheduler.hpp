@@ -116,8 +116,6 @@ class Scheduler {
     return n;
   }
 
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-
   /// Events resumed by this scheduler so far (perf_sim_core's numerator).
   [[nodiscard]] std::uint64_t executed_events() const { return executed_events_; }
 

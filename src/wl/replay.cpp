@@ -154,7 +154,6 @@ ReplayResult ReplayEngine::run(const Program& program, const ReplayOptions& opti
     if (node_.gpus_per_chassis > 0) {
       params.gpus_per_chassis = node_.gpus_per_chassis;
       params.chassis_nics = true;
-      params.host_endpoint = true;
     }
     chassis.emplace(sched, std::move(params));
   } else {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/csv.hpp"
+#include "core/error.hpp"
 #include "proxy/proxy.hpp"
 
 namespace rsd::exec {
@@ -31,8 +32,19 @@ TEST(Pool, SizeClampsToAtLeastOne) {
 TEST(Pool, DefaultThreadCountHonorsEnv) {
   ASSERT_EQ(setenv("RSD_THREADS", "3", 1), 0);
   EXPECT_EQ(default_thread_count(), 3);
-  ASSERT_EQ(setenv("RSD_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(default_thread_count(), 1);  // falls back to hardware concurrency
+  ASSERT_EQ(setenv("RSD_THREADS", "", 1), 0);
+  EXPECT_GE(default_thread_count(), 1);  // empty: hardware concurrency
+  // Anything but a whole integer >= 1 is rejected, naming the variable.
+  for (const char* bad : {"not-a-number", "2junk", "0", "-2"}) {
+    ASSERT_EQ(setenv("RSD_THREADS", bad, 1), 0);
+    try {
+      (void)default_thread_count();
+      ADD_FAILURE() << "expected rsd::Error for RSD_THREADS=" << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << bad;
+      EXPECT_NE(std::string{e.what()}.find("RSD_THREADS"), std::string::npos) << bad;
+    }
+  }
   ASSERT_EQ(unsetenv("RSD_THREADS"), 0);
 }
 

@@ -5,7 +5,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <string>
 #include <vector>
+
+#include "core/error.hpp"
 
 namespace rsd::exec {
 namespace {
@@ -18,10 +21,19 @@ TEST(Team, DefaultSimThreadCountIsSequential) {
 TEST(Team, DefaultSimThreadCountReadsEnv) {
   ::setenv("RSD_SIM_THREADS", "6", 1);
   EXPECT_EQ(default_sim_thread_count(), 6);
-  ::setenv("RSD_SIM_THREADS", "0", 1);
+  ::setenv("RSD_SIM_THREADS", "", 1);
   EXPECT_EQ(default_sim_thread_count(), 1);
-  ::setenv("RSD_SIM_THREADS", "nonsense", 1);
-  EXPECT_EQ(default_sim_thread_count(), 1);
+  // Anything but a whole integer >= 1 is rejected, naming the variable.
+  for (const char* bad : {"0", "nonsense", "4x"}) {
+    ::setenv("RSD_SIM_THREADS", bad, 1);
+    try {
+      (void)default_sim_thread_count();
+      ADD_FAILURE() << "expected rsd::Error for RSD_SIM_THREADS=" << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << bad;
+      EXPECT_NE(std::string{e.what()}.find("RSD_SIM_THREADS"), std::string::npos) << bad;
+    }
+  }
   ::unsetenv("RSD_SIM_THREADS");
 }
 

@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/error.hpp"
 #include "harness/cli.hpp"
@@ -316,8 +317,9 @@ TEST(Cli, TraceFlagExportsTimelineAndMetrics) {
   EXPECT_NE(manifest.str().find("\"gpusim.ops\""), std::string::npos);
 }
 
-// RAII guard: restores RSD_GPUS_PER_CHASSIS (or its absence) on scope exit
-// so the knob tests cannot leak environment into the rest of the binary.
+// RAII guard: restores an environment variable (or its absence) on scope
+// exit so the knob tests cannot leak environment into the rest of the
+// binary.
 class ScopedEnv {
  public:
   explicit ScopedEnv(const char* name) : name_(name) {
@@ -378,6 +380,22 @@ TEST(Context, GpusPerChassisEnvRejectsNonPositiveAndGarbage) {
           << bad;
     }
   }
+}
+
+TEST(Cli, MalformedIntegerEnvKnobIsUsageError) {
+  const fs::path dir = fresh_temp_dir("rsd_bad_env_knob");
+  for (const auto& [name, bad] : {std::pair{"RSD_THREADS", "2junk"},
+                                  std::pair{"RSD_SIM_THREADS", "4x"}}) {
+    ScopedEnv env{name};
+    env.set(bad);
+    std::string err;
+    EXPECT_EQ(cli({"table2_proxy_calibration", "--results-dir", dir.string()}, nullptr, &err),
+              2)
+        << name;
+    EXPECT_NE(err.find(name), std::string::npos) << err;
+    EXPECT_NE(err.find(bad), std::string::npos) << err;
+  }
+  EXPECT_FALSE(fs::exists(dir / "run_manifest.json"));
 }
 
 TEST(Cli, GpusPerChassisFlagRejectsNonPositive) {

@@ -196,23 +196,6 @@ TEST(Fabric, FlatFabricHasNoNicsAndRejectsChassisNicLookup) {
   EXPECT_THROW((void)topo.chassis_nic(0), Error);
 }
 
-TEST(Fabric, RejectsRowsExceedingMaxChassis) {
-  FabricParams params;
-  params.gpus = 16;
-  params.gpus_per_chassis = 4;
-  params.chassis_nics = true;
-  params.max_chassis = 2;  // 16 GPUs at 4/chassis need 4 chassis
-  try {
-    (void)build_fabric(params);
-    FAIL() << "expected rsd::Error for a row exceeding max_chassis";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
-    EXPECT_NE(std::string{e.what()}.find("max_chassis"), std::string::npos);
-  }
-  params.max_chassis = 4;
-  EXPECT_EQ(build_fabric(params).nic_count(), 4);  // exactly at the bound is fine
-}
-
 TEST(Fabric, HostEndpointRequiresChassisNics) {
   FabricParams params;
   params.gpus = 8;

@@ -21,6 +21,11 @@ struct Log {
   std::vector<std::pair<std::int64_t, int>> entries;
 };
 
+/// Lookahead edges both ways between partitions 0 and 1.
+std::vector<LookaheadEdge> pair_edges(SimDuration lookahead) {
+  return {LookaheadEdge{0, 1, lookahead}, LookaheadEdge{1, 0, lookahead}};
+}
+
 TEST(CrossCall, InvokesInlinePayload) {
   int hits = 0;
   int* p = &hits;
@@ -33,7 +38,7 @@ TEST(CrossCall, InvokesInlinePayload) {
 }
 
 TEST(ParallelEngine, EmptyRunTerminates) {
-  ParallelEngine eng{4};
+  ParallelEngine eng{4, {}, {}};
   eng.run();
   EXPECT_EQ(eng.epochs(), 0u);
   EXPECT_EQ(eng.executed_events(), 0u);
@@ -41,7 +46,7 @@ TEST(ParallelEngine, EmptyRunTerminates) {
 }
 
 TEST(ParallelEngine, LocalWorkRunsWithoutMessages) {
-  ParallelEngine eng{2, {.threads = 2, .lookahead = 1_us}};
+  ParallelEngine eng{2, {}, {.threads = 2}};
   std::int64_t done_at = -1;
   eng.partition(0).spawn([&] {
     return [](std::int64_t& out) -> Task<> {
@@ -59,7 +64,7 @@ TEST(ParallelEngine, LocalWorkRunsWithoutMessages) {
 }
 
 TEST(ParallelEngine, CrossPartitionPingPong) {
-  ParallelEngine eng{2, {.threads = 2, .lookahead = 1_us}};
+  ParallelEngine eng{2, pair_edges(1_us), {.threads = 2}};
   Log logs[2];
   Partition* p0 = &eng.partition(0);
   Partition* p1 = &eng.partition(1);
@@ -98,11 +103,12 @@ TEST(ParallelEngine, CrossPartitionPingPong) {
 }
 
 TEST(ParallelEngine, SamePartitionSendSkipsLookaheadFloor) {
-  ParallelEngine eng{2, {.threads = 2, .lookahead = 10_us}};
+  ParallelEngine eng{2, pair_edges(10_us), {.threads = 2}};
   Log log;
   Partition* p0 = &eng.partition(0);
   Log* lp = &log;
-  // delay far below lookahead: legal because it never crosses partitions.
+  // delay far below the edge lookahead: legal because it never crosses
+  // partitions.
   p0->post(SimDuration{0}, CrossCall{[p0, lp] {
              p0->send(p0->id(), SimDuration{5}, CrossCall{[p0, lp] {
                         lp->entries.emplace_back(p0->scheduler().now().ns(), 1);
@@ -118,8 +124,10 @@ TEST(ParallelEngine, SimultaneousArrivalsMergeBySourceThenSeq) {
   // Partitions 1..4 each send two messages to partition 0, all arriving at
   // the same instant. The deterministic merge key (at, src, seq) fixes the
   // delivery order regardless of which worker ran which sender.
+  std::vector<LookaheadEdge> edges;
+  for (PartitionId src = 1; src <= 4; ++src) edges.push_back(LookaheadEdge{src, 0, 1_us});
   for (const int threads : {1, 2, 4}) {
-    ParallelEngine eng{5, {.threads = threads, .lookahead = 1_us}};
+    ParallelEngine eng{5, edges, {.threads = threads}};
     Log log;
     Partition* dst = &eng.partition(0);
     Log* lp = &log;
@@ -150,11 +158,12 @@ TEST(ParallelEngine, SimultaneousArrivalsMergeBySourceThenSeq) {
 
 TEST(ParallelEngine, StallAccountingIsDeterministic) {
   // Partition 0 ticks every 1us for 32us; partition 1 holds a single far
-  // event. Partition 1 retires nothing for many epochs while its queue is
+  // event. Partition 1's horizon trails partition 0's clock by the 1us
+  // edge, so it retires nothing for many epochs while its queue is
   // non-empty — exactly the lookahead-stall definition.
   std::vector<std::uint64_t> stalls;
   for (const int threads : {1, 2}) {
-    ParallelEngine eng{2, {.threads = threads, .lookahead = 1_us}};
+    ParallelEngine eng{2, pair_edges(1_us), {.threads = threads}};
     eng.partition(0).spawn([] {
       return []() -> Task<> {
         for (int i = 0; i < 32; ++i) co_await delay(1_us);
@@ -172,7 +181,7 @@ TEST(ParallelEngine, StallAccountingIsDeterministic) {
 }
 
 TEST(ParallelEngine, TaskFailureRethrownAfterDrain) {
-  ParallelEngine eng{3, {.threads = 2, .lookahead = 1_us}};
+  ParallelEngine eng{3, {}, {.threads = 2}};
   eng.partition(2).spawn([] {
     return []() -> Task<> {
       co_await delay(3_us);
@@ -184,7 +193,7 @@ TEST(ParallelEngine, TaskFailureRethrownAfterDrain) {
 
 // -- Whole-simulation determinism fingerprints ----------------------------
 
-/// Engine-side statistics of one run_ring execution, for the matrix-mode
+/// Engine-side statistics of one run_ring execution, for the edge-bound
 /// comparisons below (the fingerprint alone proves timing equality).
 struct RingStats {
   std::uint64_t epochs = 0;
@@ -194,24 +203,19 @@ struct RingStats {
 
 /// Ring workload: `n` partitions, each running a local delay loop and
 /// forwarding a token around the ring every 2us. Returns the concatenated
-/// logs as the fingerprint. With `matrix` set, the ring's lookahead-edge
-/// graph (successor edges at the true 2us forwarding delay) replaces the
-/// 1us global window.
+/// logs as the fingerprint. The lookahead graph is the ring's successor
+/// edges at `edge`: by default a loose 1us, below the 2us forwarding
+/// delay; the exact bound is 2us.
 std::vector<std::pair<std::int64_t, int>> run_ring(int partitions, int threads,
                                                    std::uint64_t jitter_seed,
-                                                   bool matrix = false,
+                                                   SimDuration edge = 1_us,
                                                    RingStats* stats = nullptr) {
-  ParallelEngine eng{partitions,
-                     {.threads = threads, .lookahead = 1_us, .jitter_seed = jitter_seed}};
-  if (matrix) {
-    std::vector<LookaheadEdge> edges;
-    for (int p = 0; p < partitions; ++p) {
-      edges.push_back(LookaheadEdge{static_cast<PartitionId>(p),
-                                    static_cast<PartitionId>((p + 1) % partitions),
-                                    SimDuration{2'000}});
-    }
-    eng.set_lookahead_edges(edges);
+  std::vector<LookaheadEdge> edges;
+  for (int p = 0; p < partitions; ++p) {
+    edges.push_back(LookaheadEdge{static_cast<PartitionId>(p),
+                                  static_cast<PartitionId>((p + 1) % partitions), edge});
   }
+  ParallelEngine eng{partitions, edges, {.threads = threads, .jitter_seed = jitter_seed}};
   std::vector<Log> logs(static_cast<std::size_t>(partitions));
 
   struct Token {
@@ -279,42 +283,36 @@ TEST(ParallelEngine, RingIsIdenticalUnderClaimJitter) {
 }
 
 TEST(ParallelEngine, LookaheadMatrixPreservesFingerprint) {
-  // The matrix only widens epoch horizons; it must never change simulated
-  // timing, at any thread count.
-  const auto baseline = run_ring(8, 1, 0, /*matrix=*/false);
+  // Exact edge bounds only widen epoch horizons over loose ones; they must
+  // never change simulated timing, at any thread count.
+  const auto baseline = run_ring(8, 1, 0);
   for (const int threads : {1, 2, 8}) {
-    EXPECT_EQ(run_ring(8, threads, 0, /*matrix=*/true), baseline)
-        << "threads=" << threads;
+    EXPECT_EQ(run_ring(8, threads, 0, 2_us), baseline) << "threads=" << threads;
   }
 }
 
 TEST(ParallelEngine, LookaheadMatrixReducesEpochsAndReportsGain) {
-  RingStats global;
-  RingStats matrix;
-  const auto base = run_ring(8, 1, 0, /*matrix=*/false, &global);
-  EXPECT_EQ(run_ring(8, 1, 0, /*matrix=*/true, &matrix), base);
-  // Distance-aware horizons only let partitions run further per epoch, so
-  // the barrier count drops and the accumulated horizon gain (widening
-  // over the uniform floor) is strictly positive. Stalled partition-epochs
-  // are NOT compared: a partition that raced ahead under its wide private
-  // horizon books a "stall" while it waits for upstream — a state the
-  // global window never reaches because nobody gets ahead of t_min + L.
-  // The token-ring bench (bench_perf_par_des) covers the stall drop on a
-  // workload where the global window genuinely convoys.
-  EXPECT_LE(matrix.epochs, global.epochs);
-  EXPECT_EQ(global.horizon_gain_ns, 0u);  // global mode reports no gain
-  EXPECT_GT(matrix.horizon_gain_ns, 0u);
+  RingStats loose;
+  RingStats exact;
+  const auto base = run_ring(8, 1, 0, 1_us, &loose);
+  EXPECT_EQ(run_ring(8, 1, 0, 2_us, &exact), base);
+  // Wider edge bounds only let partitions run further per epoch, so the
+  // barrier count drops, and distance-aware horizons widen over the
+  // uniform floor `t_min + shortest edge`, so the accumulated horizon gain
+  // is strictly positive. Stalled partition-epochs are NOT compared: a
+  // partition that raced ahead under its wide private horizon books a
+  // "stall" while it waits for upstream.
+  EXPECT_LT(exact.epochs, loose.epochs);
+  EXPECT_GT(exact.horizon_gain_ns, 0u);
 }
 
 TEST(ParallelEngine, EmptyLookaheadMatrixDrainsInOneEpoch) {
-  // A one-partition engine (a row of one chassis) declares no edge. No
-  // message can ever arrive, so the horizon is infinite and the first
-  // epoch runs every local event — delays far beyond the global lookahead
-  // and same-partition sends included.
-  const auto run = [](bool matrix, std::uint64_t& epochs) {
-    ParallelEngine eng{1, {.threads = 1, .lookahead = 1_us}};
-    if (matrix) eng.set_lookahead_edges({});
-    EXPECT_EQ(eng.lookahead_matrix(), matrix);
+  // An engine without edges (partitions that never message each other, or
+  // a row of one chassis) can never receive a message, so every horizon is
+  // infinite and the first epoch runs every local event — same-partition
+  // sends included.
+  const auto run = [](const std::vector<LookaheadEdge>& edges, std::uint64_t& epochs) {
+    ParallelEngine eng{2, edges, {.threads = 1}};
     Log log;
     eng.partition(0).spawn([&] {
       return [](Partition* p, Log* lp) -> Task<> {
@@ -332,23 +330,24 @@ TEST(ParallelEngine, EmptyLookaheadMatrixDrainsInOneEpoch) {
     epochs = eng.epochs();
     return log.entries;
   };
-  std::uint64_t matrix_epochs = 0;
-  std::uint64_t global_epochs = 0;
-  const auto matrix = run(true, matrix_epochs);
-  ASSERT_EQ(matrix.size(), 10u);
-  EXPECT_EQ(matrix.back(), (std::pair<std::int64_t, int>{50'001, 9}));
-  EXPECT_EQ(matrix_epochs, 1u);
-  // The same work under the 1 us global window needs an epoch per delay.
-  EXPECT_EQ(run(false, global_epochs), matrix);
-  EXPECT_GT(global_epochs, 10u);
+  std::uint64_t unbounded_epochs = 0;
+  std::uint64_t bounded_epochs = 0;
+  const auto unbounded = run({}, unbounded_epochs);
+  ASSERT_EQ(unbounded.size(), 10u);
+  EXPECT_EQ(unbounded.back(), (std::pair<std::int64_t, int>{50'001, 9}));
+  EXPECT_EQ(unbounded_epochs, 1u);
+  // The same work with a 1 us edge each way needs an epoch per delay: a
+  // message from partition 0 could come back to it 2 us later.
+  EXPECT_EQ(run(pair_edges(1_us), bounded_epochs), unbounded);
+  EXPECT_GT(bounded_epochs, 10u);
 }
 
 TEST(ParallelEngine, MatrixMinSendDelayIsPerEdge) {
-  ParallelEngine eng{3, {.threads = 1, .lookahead = 1_us}};
-  eng.set_lookahead_edges({LookaheadEdge{0, 1, SimDuration{2'000}},
-                           LookaheadEdge{1, 2, SimDuration{5'000}},
-                           LookaheadEdge{0, 1, SimDuration{3'000}}});
-  EXPECT_TRUE(eng.lookahead_matrix());
+  ParallelEngine eng{3,
+                     {LookaheadEdge{0, 1, SimDuration{2'000}},
+                      LookaheadEdge{1, 2, SimDuration{5'000}},
+                      LookaheadEdge{0, 1, SimDuration{3'000}}},
+                     {.threads = 1}};
   // Duplicate declarations keep the minimum; undeclared pairs are
   // unreachable and reject sends outright.
   EXPECT_EQ(eng.min_send_delay(0, 1), SimDuration{2'000});
