@@ -1,6 +1,7 @@
-// Integer environment knobs. RSD_THREADS, RSD_SIM_THREADS and
-// RSD_GPUS_PER_CHASSIS share this one parser, so each accepts the same
-// tokens and rejects the rest with an error that names the variable.
+// Integer environment knobs. RSD_THREADS, RSD_SIM_THREADS,
+// RSD_GPUS_PER_CHASSIS and RSD_TRACE_BUFFER share this one parser, so each
+// accepts the same tokens and rejects the rest with an error that names
+// the variable.
 #pragma once
 
 #include <charconv>

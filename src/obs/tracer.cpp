@@ -4,13 +4,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+
+#include "core/env.hpp"
 
 namespace rsd::obs {
 
@@ -24,11 +25,7 @@ std::int64_t steady_now_ns() {
 
 std::size_t capacity_from_env(std::size_t requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("RSD_TRACE_BUFFER")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return 1u << 16;
+  return static_cast<std::size_t>(env_count("RSD_TRACE_BUFFER").value_or(1 << 16));
 }
 
 }  // namespace

@@ -19,8 +19,9 @@
 //                partition no chain can reach drains its queue entirely,
 //                so an engine without edges runs in one epoch;
 //   4. all partitions, in parallel on an `exec::Team`, deliver their
-//                inbox, then run their local queues up to (not including)
-//                their horizon;
+//                inbox — each message queued as a plain call at its
+//                timestamp (`Scheduler::call_at`) — then run their local
+//                queues up to (not including) their horizon;
 //   5. barrier; outbox buffers flip; repeat until no work remains.
 //
 // This is the global-epoch-barrier member of the conservative family
@@ -157,7 +158,8 @@ class ParallelEngine {
 
   /// Run epochs until no partition holds events and no message is in
   /// flight, then drain root-task completions (rethrowing the first
-  /// failure by partition index — a deterministic choice). After run(),
+  /// failure of a root task or message by partition index — a
+  /// deterministic choice). After run(),
   /// `unfinished_count() > 0` indicates a simulated deadlock.
   void run() {
     obs::Span span{"pardes", "run",
@@ -339,9 +341,7 @@ class ParallelEngine {
     const SimTime horizon = slots_[i].horizon;
     auto& in = scratch_[i];
     std::sort(in.begin(), in.end());
-    for (const InRef& r : in) {
-      p.sched_.spawn_at(Partition::deliver(*r.call), r.at);
-    }
+    for (const InRef& r : in) p.sched_.call_at(*r.call, r.at);
     slots_[i].delivered += in.size();
 
     const std::uint64_t executed = p.sched_.run_before(horizon);
@@ -471,7 +471,7 @@ inline void Partition::send(PartitionId dst, SimDuration delay, CrossCall call) 
   const SimTime at = sched_.now() + delay;
   if (dst == id_) {
     // Local fast path: an ordinary event, no lookahead constraint.
-    sched_.spawn_at(deliver(std::move(call)), at);
+    sched_.call_at(call, at);
     return;
   }
   // A remote send obeys the declared (src, dst) edge bound — and an

@@ -1,5 +1,6 @@
 // One shard of a partitioned simulation (`sim::Partition`) and the
-// cross-partition message it exchanges (`sim::CrossCall` / `RemoteMsg`).
+// cross-partition message it exchanges (`sim::RemoteMsg`, which carries a
+// `sim::CrossCall` — the plain-call event of scheduler.hpp).
 //
 // A Partition is a complete single-threaded simulation — its own
 // Scheduler (event queue, clock, sequence counter) plus its own
@@ -8,7 +9,9 @@
 // Partitions never share mutable state: the ONLY way simulated code in
 // partition A affects partition B is `send()`, which enqueues a
 // timestamped message the engine (conservative.hpp) delivers into B's
-// event queue under the conservative-lookahead protocol.
+// event queue under the conservative-lookahead protocol. A delivered
+// message, a same-partition send and a `post()` all run as plain calls
+// (`Scheduler::call_at`): no coroutine frame, no root task.
 //
 // Determinism contract: a message is keyed `(at, src, seq)` where `seq`
 // is the source partition's send counter. Source-side processing is
@@ -17,55 +20,16 @@
 // destination queue one total, thread-count-independent order.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <new>
-#include <type_traits>
 #include <vector>
 
-#include "core/error.hpp"
 #include "core/units.hpp"
 #include "sim/arena.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/task.hpp"
 
 namespace rsd::sim {
 
 using PartitionId = std::uint32_t;
-
-/// Type-erased callable carried by a cross-partition message and invoked
-/// inside the destination partition at the message timestamp (the
-/// destination's scheduler clock reads exactly `at` during the call).
-/// Storage is inline and the payload must be trivially copyable, so
-/// posting a message never touches the heap.
-class CrossCall {
- public:
-  static constexpr std::size_t kInlineBytes = 64;
-
-  CrossCall() = default;
-
-  template <typename F>
-    requires(!std::is_same_v<std::decay_t<F>, CrossCall> &&
-             std::is_trivially_copyable_v<std::decay_t<F>> &&
-             sizeof(std::decay_t<F>) <= kInlineBytes)
-  CrossCall(F&& fn) {  // NOLINT(google-explicit-constructor) — message literal
-    using Fn = std::decay_t<F>;
-    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
-    invoke_ = [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); };
-  }
-
-  void operator()() {
-    RSD_ASSERT(invoke_ != nullptr);
-    invoke_(buf_);
-  }
-
-  [[nodiscard]] explicit operator bool() const { return invoke_ != nullptr; }
-
- private:
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes]{};
-  void (*invoke_)(void*) = nullptr;
-};
 
 /// A message in flight between partitions. `seq` restarts per source;
 /// the engine merges inbound messages by `(at, src, seq)`.
@@ -110,11 +74,12 @@ class Partition {
     sched_.spawn(std::forward<Factory>(factory)());
   }
 
-  /// Setup entry point for plain callables: run `call` inside this
-  /// partition after `delay`. Same arena discipline as `spawn`.
-  void post(SimDuration delay, CrossCall call) {
+  /// Setup entry point for plain callables: queue `call` as a plain event
+  /// (`Scheduler::call_at`) inside this partition after `delay`. Its node
+  /// comes from this partition's arena, hence the same scope as `spawn`.
+  void post(SimDuration delay, const CrossCall& call) {
     ArenaScope scope{arena_};
-    sched_.spawn_at(deliver(std::move(call)), sched_.now() + delay);
+    sched_.call_at(call, sched_.now() + delay);
   }
 
  private:
@@ -122,15 +87,11 @@ class Partition {
 
   Partition(ParallelEngine& engine, PartitionId id) : engine_(engine), id_(id) {}
 
-  static Task<> deliver(CrossCall call) {
-    call();
-    co_return;
-  }
-
   ParallelEngine& engine_;
   PartitionId id_;
   // arena_ precedes sched_: scheduler teardown releases coroutine frames
-  // into the arena, so the arena must outlive it (reverse destruction).
+  // and queued call nodes into the arena, so the arena must outlive it
+  // (reverse destruction).
   FrameArena arena_;
   Scheduler sched_;
   /// Double-buffered outboxes: the engine fills one per epoch and routes

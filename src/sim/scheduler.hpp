@@ -1,21 +1,57 @@
 // The discrete-event scheduler: a time-ordered run queue of suspended
-// coroutines. Single-threaded and fully deterministic — ties in time are
-// broken by insertion order, so a given seed always replays the same
-// schedule.
+// coroutines and plain calls (`CrossCall`s). Single-threaded and fully
+// deterministic — ties in time are broken by insertion order, so a given
+// seed always replays the same schedule.
 #pragma once
 
 #include <algorithm>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "core/error.hpp"
 #include "core/units.hpp"
+#include "sim/arena.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
 
 namespace rsd::sim {
+
+/// Type-erased callable the scheduler runs as a plain event (`call_at`),
+/// e.g. a message between partitions; the scheduler clock reads exactly
+/// the event time during the call. Storage is inline and the payload must
+/// be trivially copyable, so queueing a call never touches the heap.
+class CrossCall {
+ public:
+  static constexpr std::size_t kInlineBytes = 64;
+
+  CrossCall() = default;
+
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, CrossCall> &&
+             std::is_trivially_copyable_v<std::decay_t<F>> &&
+             sizeof(std::decay_t<F>) <= kInlineBytes)
+  CrossCall(F&& fn) {  // NOLINT(google-explicit-constructor) — message literal
+    using Fn = std::decay_t<F>;
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+    invoke_ = [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); };
+  }
+
+  void operator()() {
+    RSD_ASSERT(invoke_ != nullptr);
+    invoke_(buf_);
+  }
+
+  [[nodiscard]] explicit operator bool() const { return invoke_ != nullptr; }
+
+ private:
+  alignas(std::max_align_t) unsigned char buf_[kInlineBytes]{};
+  void (*invoke_)(void*) = nullptr;
+};
 
 class Scheduler {
  public:
@@ -23,22 +59,36 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
+  /// Calls still queued (a run cut short) return their nodes to the bound
+  /// arena; queued coroutine frames belong to their tasks.
+  ~Scheduler() {
+    for (; !queue_.empty(); queue_.pop()) {
+      if (const std::uintptr_t e = queue_.top().payload; (e & kCallTag) != 0) {
+        FrameArena::local().deallocate(call_of(e));
+      }
+    }
+  }
+
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Launch a root process at the current simulated time. The scheduler
   /// owns the task until `run()` finishes.
-  void spawn(Task<> task) { spawn_at(std::move(task), now_); }
-
-  /// Launch a root process at absolute time `t` (>= now). The partitioned
-  /// engine delivers cross-partition messages this way: each message
-  /// becomes a root task scheduled at its (future, lookahead-protected)
-  /// timestamp.
-  void spawn_at(Task<> task, SimTime t) {
+  void spawn(Task<> task) {
     RSD_ASSERT(task.valid());
     task.handle_.promise().sched = this;
-    schedule_at(task.handle_, t);
+    schedule_at(task.handle_, now_);
     roots_.push_back(std::move(task));
     if (roots_.size() >= sweep_threshold_) sweep_finished_roots();
+  }
+
+  /// Run `call` at absolute time `t` (>= now) as a plain event: one copy
+  /// into a node from the bound FrameArena, no coroutine frame and no root
+  /// task. The partitioned engine delivers messages this way. An exception
+  /// the call throws is kept and rethrown by run(), as a failed root's is.
+  void call_at(const CrossCall& call, SimTime t) {
+    RSD_ASSERT(t >= now_);
+    auto* node = ::new (FrameArena::local().allocate(sizeof(CrossCall))) CrossCall(call);
+    queue_.push(t, seq_++, reinterpret_cast<std::uintptr_t>(node) | kCallTag);
   }
 
   /// Enqueue a coroutine to resume after `delay` of simulated time.
@@ -49,23 +99,34 @@ class Scheduler {
   /// Enqueue a coroutine to resume at absolute time `t` (>= now).
   void schedule_at(std::coroutine_handle<> h, SimTime t) {
     RSD_ASSERT(t >= now_);
-    queue_.push(t, seq_++, h);
+    queue_.push(t, seq_++, reinterpret_cast<std::uintptr_t>(h.address()));
   }
 
-  /// Run one event: advance the clock and resume one coroutine.
-  /// Returns false when the event queue is empty.
+  /// Run one event: advance the clock and resume one coroutine or invoke
+  /// (then free) one call. Returns false when the event queue is empty.
   bool step() {
     if (queue_.empty()) return false;
     const auto& item = queue_.top();
     now_ = item.at;
-    const std::coroutine_handle<> handle = item.payload;
+    const std::uintptr_t e = item.payload;
     queue_.pop();
     ++executed_events_;
-    handle.resume();
+    if ((e & kCallTag) == 0) {
+      std::coroutine_handle<>::from_address(reinterpret_cast<void*>(e)).resume();
+      return true;
+    }
+    CrossCall* call = call_of(e);
+    try {
+      (*call)();
+    } catch (...) {
+      pending_exceptions_.push_back(std::current_exception());
+    }
+    FrameArena::local().deallocate(call);
     return true;
   }
 
-  /// Run until no events remain, then rethrow the first root-task failure.
+  /// Run until no events remain, then rethrow the first failure of a root
+  /// task or call.
   void run() {
     while (step()) {
     }
@@ -73,7 +134,8 @@ class Scheduler {
   }
 
   /// Run until the clock would pass `deadline`; events at exactly `deadline`
-  /// are executed. Root failures are rethrown if all events drained.
+  /// are executed. Root and call failures are rethrown if all events
+  /// drained.
   void run_until(SimTime deadline) {
     while (!queue_.empty() && queue_.top().at <= deadline) {
       step();
@@ -116,7 +178,8 @@ class Scheduler {
     return n;
   }
 
-  /// Events resumed by this scheduler so far (perf_sim_core's numerator).
+  /// Events run by this scheduler so far, coroutine resumptions and calls
+  /// alike (perf_sim_core's numerator).
   [[nodiscard]] std::uint64_t executed_events() const { return executed_events_; }
 
   /// Sweep diagnostics for the root-compaction regression tests: number of
@@ -166,7 +229,16 @@ class Scheduler {
 
   static constexpr std::size_t kRootSweepThreshold = 4096;
 
-  TimedQueue<std::coroutine_handle<>> queue_;
+  /// A queue entry is a coroutine frame's address, or a call node's with
+  /// its low bit set: frames hold pointers and arena nodes are 16-byte
+  /// aligned, so neither address is odd.
+  static constexpr std::uintptr_t kCallTag = 1;
+
+  [[nodiscard]] static CrossCall* call_of(std::uintptr_t e) {
+    return reinterpret_cast<CrossCall*>(e & ~kCallTag);
+  }
+
+  TimedQueue<std::uintptr_t> queue_;
   std::vector<Task<>> roots_;
   std::vector<std::exception_ptr> pending_exceptions_;
   SimTime now_ = SimTime::zero();

@@ -3,8 +3,9 @@
 // fabrics must coincide (one hop either way for ring-successor traffic),
 // a ring edge with zero latency must be rejected — it cannot bound
 // cross-partition message arrival — the engine's lookahead graph must be
-// exactly the chassis-crossing ring edges, and the one-partition-per-
-// chassis engine must reproduce the tracked row timings exactly.
+// exactly the chassis-crossing ring edges, the one-partition-per-chassis
+// engine must reproduce the tracked row timings exactly, and chunk
+// arrivals must never become root tasks.
 #include "gpusim/row.hpp"
 
 #include <gtest/gtest.h>
@@ -198,6 +199,28 @@ TEST(RowFabric, SingleGpuRowStillRuns) {
   EXPECT_GT(row.run_training(small_training()), SimTime::zero());
   EXPECT_EQ(row.engine().epochs(), 1u);
   EXPECT_EQ(row.engine().messages_delivered(), 0u);
+}
+
+TEST(RowFabric, MessagesNeverBecomeRootTasks) {
+  // Every chunk arrival, local or cross-partition, runs as a plain call:
+  // a partition's root list holds only its ranks' loops, so no root sweep
+  // runs and the list never outgrows the chassis' 8 rank roots.
+  for (const bool nics : {false, true}) {
+    RowParams params;
+    params.gpus = 512;
+    params.gpus_per_chassis = 8;
+    params.chassis_nics = nics;
+    params.sim_threads = 1;
+    PartitionedRow row{params};
+    row.run_training(small_training(1));
+    const std::string label = nics ? "8/chassis + NICs" : "flat";
+    ASSERT_EQ(row.engine().size(), 64) << label;
+    for (sim::PartitionId p = 0; p < 64; ++p) {
+      const sim::Scheduler& sched = row.engine().partition(p).scheduler();
+      EXPECT_EQ(sched.sweep_count(), 0u) << label << ", partition " << p;
+      EXPECT_LE(sched.root_capacity(), 8u) << label << ", partition " << p;
+    }
+  }
 }
 
 TEST(RowFabric, SharedTopologyMatchesOwned) {

@@ -384,18 +384,24 @@ TEST(Context, GpusPerChassisEnvRejectsNonPositiveAndGarbage) {
 
 TEST(Cli, MalformedIntegerEnvKnobIsUsageError) {
   const fs::path dir = fresh_temp_dir("rsd_bad_env_knob");
+  // --trace makes the context enable the tracer, which sizes its rings
+  // from RSD_TRACE_BUFFER.
   for (const auto& [name, bad] : {std::pair{"RSD_THREADS", "2junk"},
-                                  std::pair{"RSD_SIM_THREADS", "4x"}}) {
+                                  std::pair{"RSD_SIM_THREADS", "4x"},
+                                  std::pair{"RSD_TRACE_BUFFER", "4x"}}) {
     ScopedEnv env{name};
     env.set(bad);
     std::string err;
-    EXPECT_EQ(cli({"table2_proxy_calibration", "--results-dir", dir.string()}, nullptr, &err),
+    EXPECT_EQ(cli({"table2_proxy_calibration", "--results-dir", dir.string(), "--trace",
+                   (dir / "trace").string()},
+                  nullptr, &err),
               2)
         << name;
     EXPECT_NE(err.find(name), std::string::npos) << err;
     EXPECT_NE(err.find(bad), std::string::npos) << err;
   }
   EXPECT_FALSE(fs::exists(dir / "run_manifest.json"));
+  EXPECT_FALSE(fs::exists(dir / "trace"));
 }
 
 TEST(Cli, GpusPerChassisFlagRejectsNonPositive) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/partition.hpp"
@@ -189,6 +190,39 @@ TEST(ParallelEngine, TaskFailureRethrownAfterDrain) {
     }();
   });
   EXPECT_THROW(eng.run(), std::runtime_error);
+}
+
+TEST(ParallelEngine, MessageFailureRethrownAfterDrain) {
+  // A message whose call throws fails run() as a failed root task does:
+  // the exception is kept while every partition's work, the receiver's
+  // later events included, runs to completion, then rethrown after the
+  // drain.
+  ParallelEngine eng{3, {LookaheadEdge{0, 1, 1_us}}, {.threads = 2}};
+  Partition* p0 = &eng.partition(0);
+  Partition* p1 = &eng.partition(1);
+  p0->post(SimDuration{0}, CrossCall{[p0, p1] {
+             p0->send(p1->id(), 2_us,
+                      CrossCall{[] { throw std::runtime_error{"message failure"}; }});
+           }});
+  std::int64_t receiver_done = -1;
+  std::int64_t bystander_done = -1;
+  const auto sleeper = [](SimDuration d, std::int64_t& out) -> Task<> {
+    co_await delay(d);
+    auto* s = co_await current_scheduler();
+    out = s->now().ns();
+  };
+  eng.partition(1).spawn([&] { return sleeper(10_us, receiver_done); });
+  eng.partition(2).spawn([&] { return sleeper(50_us, bystander_done); });
+  try {
+    eng.run();
+    ADD_FAILURE() << "run() must rethrow the failed message";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string{e.what()}, "message failure");
+  }
+  EXPECT_EQ(eng.messages_delivered(), 1u);
+  EXPECT_EQ(receiver_done, 10'000);
+  EXPECT_EQ(bystander_done, 50'000);
+  EXPECT_EQ(eng.unfinished_count(), 0u);
 }
 
 // -- Whole-simulation determinism fingerprints ----------------------------

@@ -4,9 +4,9 @@
 //    scheduler's root list beyond a bounded capacity, and the adaptive
 //    threshold must keep total sweep work O(total spawns), not
 //    O(spawns * live).
-//  * Frame arena: steady-state coroutine churn performs ZERO general-heap
-//    allocations per op (this binary links the counting operator
-//    new/delete from rsd_alloc_counter).
+//  * Frame arena: steady-state coroutine and plain-call churn performs
+//    ZERO general-heap allocations per op (this binary links the counting
+//    operator new/delete from rsd_alloc_counter).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -83,13 +83,32 @@ TEST(RootSweep, AdaptiveThresholdWithLargeLivePopulation) {
   EXPECT_LE(sched.sweep_scanned(), static_cast<std::uint64_t>(kLive + kChurn) * 8);
 }
 
-/// Steady-state op churn allocates nothing from the general heap: frames
-/// come from the FrameArena free lists, events from allocate_shared over
-/// the arena, and the scheduler queue/roots reuse their vectors.
-TEST(FrameArena, SteadyStateChurnIsAllocationFree) {
+/// Heap allocations made by 10,000 ops of `op` run back to back, after
+/// 10,000 more in the same root task have warmed the scheduler up.
+template <typename Op>
+std::int64_t steady_state_allocations(Op op) {
   sim::Scheduler sched;
+  std::int64_t during = -1;
+  sched.spawn([](sim::Scheduler& s, Op& body, std::int64_t& out) -> sim::Task<> {
+    // Warm-up: populate free lists, grow the event queue and root vector
+    // past their high-water marks, and get past the first root sweep.
+    for (int i = 0; i < 10'000; ++i) co_await body(s);
+    const std::int64_t before = alloc::allocation_count();
+    for (int i = 0; i < 10'000; ++i) co_await body(s);
+    out = alloc::allocation_count() - before;
+  }(sched, op, during));
+  sched.run();
+  EXPECT_EQ(sched.unfinished_count(), 0u);
+  return during;
+}
 
-  auto op = [](sim::Scheduler& s) -> sim::Task<> {
+/// Steady-state op churn allocates nothing from the general heap: frames
+/// and call nodes come from the FrameArena free lists, events from
+/// allocate_shared over the arena, and the scheduler queue/roots reuse
+/// their vectors. An op waits for a child root task, or for a plain call
+/// (`call_at`), to trigger its completion event.
+TEST(FrameArena, SteadyStateChurnIsAllocationFree) {
+  auto child_op = [](sim::Scheduler& s) -> sim::Task<> {
     auto done = sim::make_event(s);
     s.spawn([](std::shared_ptr<sim::Event> ev) -> sim::Task<> {
       co_await sim::delay(1_us);
@@ -97,23 +116,17 @@ TEST(FrameArena, SteadyStateChurnIsAllocationFree) {
     }(done));
     co_await done->wait();
   };
+  auto call_op = [](sim::Scheduler& s) -> sim::Task<> {
+    auto done = sim::make_event(s);
+    sim::Event* ev = done.get();
+    s.call_at([ev] { ev->trigger(); }, s.now() + 1_us);
+    co_await done->wait();
+  };
 
-  // Warm-up: populate free lists, grow the event queue and root vector past
-  // their high-water marks, and get past the first root sweep.
-  sched.spawn([](sim::Scheduler& s, auto& body) -> sim::Task<> {
-    for (int i = 0; i < 10'000; ++i) co_await body(s);
-  }(sched, op));
-  sched.run();
-
-  const std::int64_t before = alloc::allocation_count();
-  sched.spawn([](sim::Scheduler& s, auto& body) -> sim::Task<> {
-    for (int i = 0; i < 10'000; ++i) co_await body(s);
-  }(sched, op));
-  sched.run();
-  const std::int64_t during = alloc::allocation_count() - before;
-
-  EXPECT_EQ(during, 0) << "steady-state simulation touched the general heap";
-  EXPECT_EQ(sched.unfinished_count(), 0u);
+  EXPECT_EQ(steady_state_allocations(child_op), 0)
+      << "steady-state child tasks touched the general heap";
+  EXPECT_EQ(steady_state_allocations(call_op), 0)
+      << "steady-state plain calls touched the general heap";
 }
 
 TEST(FrameArena, RecyclesFramesAndReportsStats) {

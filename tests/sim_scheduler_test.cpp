@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "sim/arena.hpp"
 #include "sim/task.hpp"
 
 namespace rsd::sim {
@@ -186,6 +189,76 @@ TEST(Scheduler, CurrentSchedulerAwaitable) {
   }(&seen));
   sched.run();
   EXPECT_EQ(seen, &sched);
+}
+
+TEST(Scheduler, CallsAndCoroutinesInterleaveInInsertionOrder) {
+  // Plain calls and coroutine resumptions share one (time, seq) order: at
+  // t = 0 the spawned processes and the calls run as queued, and at 5 us
+  // the calls queued up front come before the resumptions the processes
+  // queued while running.
+  Scheduler sched;
+  std::vector<int> order;
+  std::vector<int>* log = &order;
+  auto proc = [](std::vector<int>& ord, int id) -> Task<> {
+    ord.push_back(id);
+    co_await delay(5_us);
+    ord.push_back(id + 100);
+  };
+  for (int i = 0; i < 6; i += 2) {
+    sched.spawn(proc(order, i));
+    sched.call_at([log, i] { log->push_back(i + 1); }, SimTime::zero());
+    sched.call_at([log, i] { log->push_back(i + 101); }, SimTime::zero() + 5_us);
+  }
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 101, 103, 105, 100, 102, 104}));
+  EXPECT_EQ(sched.executed_events(), 12u);
+  EXPECT_EQ(sched.unfinished_count(), 0u);
+}
+
+TEST(Scheduler, ThrowingCallIsRethrownAfterTheRun) {
+  Scheduler sched;
+  std::vector<int> order;
+  std::vector<int>* log = &order;
+  sched.call_at([] { throw std::runtime_error{"call failed"}; }, SimTime::zero() + 1_us);
+  sched.call_at([log] { log->push_back(1); }, SimTime::zero() + 2_us);
+  sched.spawn([](std::vector<int>& ord) -> Task<> {
+    co_await delay(3_us);
+    ord.push_back(2);
+  }(order));
+  try {
+    sched.run();
+    ADD_FAILURE() << "run() must rethrow the failed call";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string{e.what()}, "call failed");
+  }
+  // The failure stopped nothing: every later event ran.
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sched.now(), SimTime::zero() + 3_us);
+  EXPECT_EQ(sched.executed_events(), 4u);
+  EXPECT_EQ(sched.unfinished_count(), 0u);
+}
+
+TEST(Scheduler, QueuedCallsReturnToTheArenaOnDestruction) {
+  // Each scheduler runs one call and is destroyed with a second still
+  // queued. Its node must go back to the bound arena: after the first
+  // scheduler, every node is a reused block and nothing more is carved.
+  FrameArena arena;
+  ArenaScope scope{arena};
+  int hits = 0;
+  int* p = &hits;
+  std::uint64_t carved_after_first = 0;
+  for (int i = 0; i < 1'000; ++i) {
+    {
+      Scheduler sched;
+      sched.call_at([p] { ++*p; }, SimTime::zero() + 1_us);
+      sched.call_at([p] { ++*p; }, SimTime::zero() + 2_us);
+      sched.run_until(SimTime::zero() + 1_us);
+    }
+    if (i == 0) carved_after_first = arena.stats().carved;
+  }
+  EXPECT_EQ(hits, 1'000);
+  EXPECT_GT(carved_after_first, 0u);
+  EXPECT_EQ(arena.stats().carved, carved_after_first);
 }
 
 TEST(Scheduler, ManyEventsStressDeterminism) {
