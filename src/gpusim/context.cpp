@@ -81,21 +81,21 @@ sim::Task<> Context::injected_sleep(SimDuration slack) {
   if (crossed < slack) co_await sim::delay(slack - crossed);
 }
 
-sim::Task<> Context::begin_api() {
-  if (slack_ != nullptr && slack_position_ == SlackPosition::kBeforeCall) {
-    const SimDuration slack = slack_->on_api_call();
-    if (slack > SimDuration::zero()) {
-      if (const std::int32_t trace_id = device_.trace_id(); trace_id >= 0) {
-        obs::Tracer::instance().complete_sim(trace_id, obs::kTrackSlack, sched_.now().ns(),
-                                             slack.ns(), "slack", "slack_before",
-                                             {obs::Arg::n("context", id_)});
-      }
-      co_await injected_sleep(slack);
-    }
+SimDuration Context::slack_before() {
+  if (slack_ == nullptr || slack_position_ != SlackPosition::kBeforeCall) {
+    return SimDuration::zero();
   }
+  const SimDuration slack = slack_->on_api_call();
+  if (const std::int32_t trace_id = device_.trace_id();
+      trace_id >= 0 && slack > SimDuration::zero()) {
+    obs::Tracer::instance().complete_sim(trace_id, obs::kTrackSlack, sched_.now().ns(),
+                                         slack.ns(), "slack", "slack_before",
+                                         {obs::Arg::n("context", id_)});
+  }
+  return slack;
 }
 
-sim::Task<> Context::finish_api(NameRef name, SimTime start) {
+SimDuration Context::finish_api(NameRef name, SimTime start) {
   ApiRecord api;
   api.name = name;
   api.context_id = id_;
@@ -117,11 +117,11 @@ sim::Task<> Context::finish_api(NameRef name, SimTime start) {
                           "slack", {obs::Arg::n("context", id_)});
     }
   }
-  if (slack > SimDuration::zero()) co_await injected_sleep(slack);
+  return slack;
 }
 
 sim::Task<> Context::memcpy_h2d(const DeviceBuffer& dst, NameRef name) {
-  co_await begin_api();
+  if (const SimDuration s = slack_before(); s > SimDuration::zero()) co_await injected_sleep(s);
   const SimTime start = sched_.now();
   co_await sim::delay(kApiSubmitCost);
   SimDuration service;
@@ -138,11 +138,12 @@ sim::Task<> Context::memcpy_h2d(const DeviceBuffer& dst, NameRef name) {
   if (path_.completion_latency > SimDuration::zero()) {
     co_await sim::delay(path_.completion_latency);
   }
-  co_await finish_api(kApiMemcpyH2D, start);
+  const SimDuration after = finish_api(kApiMemcpyH2D, start);
+  if (after > SimDuration::zero()) co_await injected_sleep(after);
 }
 
 sim::Task<> Context::memcpy_d2h(const DeviceBuffer& src, NameRef name) {
-  co_await begin_api();
+  if (const SimDuration s = slack_before(); s > SimDuration::zero()) co_await injected_sleep(s);
   const SimTime start = sched_.now();
   co_await sim::delay(kApiSubmitCost);
   const SimDuration service = binding_.bound()
@@ -159,20 +160,22 @@ sim::Task<> Context::memcpy_d2h(const DeviceBuffer& src, NameRef name) {
   if (path_.completion_latency > SimDuration::zero()) {
     co_await sim::delay(path_.completion_latency);
   }
-  co_await finish_api(kApiMemcpyD2H, start);
+  const SimDuration after = finish_api(kApiMemcpyD2H, start);
+  if (after > SimDuration::zero()) co_await injected_sleep(after);
 }
 
 sim::Task<> Context::launch(NameRef name, SimDuration kernel_duration) {
-  co_await begin_api();
+  if (const SimDuration s = slack_before(); s > SimDuration::zero()) co_await injected_sleep(s);
   const SimTime start = sched_.now();
   co_await sim::delay(kApiSubmitCost);
   submit_op(OpKind::kKernel, name, 0, kernel_duration);
-  co_await finish_api(kApiLaunchKernel, start);
+  const SimDuration after = finish_api(kApiLaunchKernel, start);
+  if (after > SimDuration::zero()) co_await injected_sleep(after);
 }
 
 sim::Task<std::shared_ptr<sim::Event>> Context::memcpy_h2d_async(const DeviceBuffer& dst,
                                                                  NameRef name) {
-  co_await begin_api();
+  if (const SimDuration s = slack_before(); s > SimDuration::zero()) co_await injected_sleep(s);
   const SimTime start = sched_.now();
   co_await sim::delay(kApiSubmitCost);
   SimDuration service;
@@ -186,13 +189,14 @@ sim::Task<std::shared_ptr<sim::Event>> Context::memcpy_h2d_async(const DeviceBuf
     service = device_.link().transfer_time(dst.bytes);
   }
   auto done = submit_op(OpKind::kMemcpyH2D, name, dst.bytes, service);
-  co_await finish_api(kApiMemcpyAsyncH2D, start);
+  const SimDuration after = finish_api(kApiMemcpyAsyncH2D, start);
+  if (after > SimDuration::zero()) co_await injected_sleep(after);
   co_return done;
 }
 
 sim::Task<std::shared_ptr<sim::Event>> Context::memcpy_d2h_async(const DeviceBuffer& src,
                                                                  NameRef name) {
-  co_await begin_api();
+  if (const SimDuration s = slack_before(); s > SimDuration::zero()) co_await injected_sleep(s);
   const SimTime start = sched_.now();
   co_await sim::delay(kApiSubmitCost);
   const SimDuration service = binding_.bound()
@@ -213,20 +217,22 @@ sim::Task<std::shared_ptr<sim::Event>> Context::memcpy_d2h_async(const DeviceBuf
     }(binding_, done, src.bytes, arrived));
     done = std::move(arrived);
   }
-  co_await finish_api(kApiMemcpyAsyncD2H, start);
+  const SimDuration after = finish_api(kApiMemcpyAsyncD2H, start);
+  if (after > SimDuration::zero()) co_await injected_sleep(after);
   co_return done;
 }
 
 sim::Task<> Context::stream_wait(std::shared_ptr<sim::Event> event) {
-  co_await begin_api();
+  if (const SimDuration s = slack_before(); s > SimDuration::zero()) co_await injected_sleep(s);
   const SimTime start = sched_.now();
   co_await sim::delay(kApiSubmitCost);
   pending_dep_ = std::move(event);
-  co_await finish_api(kApiStreamWaitEvent, start);
+  const SimDuration after = finish_api(kApiStreamWaitEvent, start);
+  if (after > SimDuration::zero()) co_await injected_sleep(after);
 }
 
 sim::Task<> Context::launch_sync(NameRef name, SimDuration kernel_duration) {
-  co_await begin_api();
+  if (const SimDuration s = slack_before(); s > SimDuration::zero()) co_await injected_sleep(s);
   const SimTime start = sched_.now();
   co_await sim::delay(kApiSubmitCost);
   const auto done = submit_op(OpKind::kKernel, name, 0, kernel_duration);
@@ -234,18 +240,20 @@ sim::Task<> Context::launch_sync(NameRef name, SimDuration kernel_duration) {
   if (path_.completion_latency > SimDuration::zero()) {
     co_await sim::delay(path_.completion_latency);
   }
-  co_await finish_api(kApiLaunchKernelSync, start);
+  const SimDuration after = finish_api(kApiLaunchKernelSync, start);
+  if (after > SimDuration::zero()) co_await injected_sleep(after);
 }
 
 sim::Task<> Context::synchronize() {
-  co_await begin_api();
+  if (const SimDuration s = slack_before(); s > SimDuration::zero()) co_await injected_sleep(s);
   const SimTime start = sched_.now();
   co_await sim::delay(kApiSubmitCost);
   if (tail_) co_await tail_->wait();
   if (path_.completion_latency > SimDuration::zero()) {
     co_await sim::delay(path_.completion_latency);
   }
-  co_await finish_api(kApiDeviceSynchronize, start);
+  const SimDuration after = finish_api(kApiDeviceSynchronize, start);
+  if (after > SimDuration::zero()) co_await injected_sleep(after);
 }
 
 }  // namespace rsd::gpu

@@ -186,11 +186,15 @@ class Context {
                             OpRecord rec, SimDuration service,
                             SimDuration command_travel);
 
-  /// Record the API call and apply injected slack (kAfterCall position).
-  sim::Task<> finish_api(NameRef name, SimTime start);
+  /// Record the API call; returns the injected slack to sleep after it
+  /// (kAfterCall position), zero when none. The caller co_awaits
+  /// injected_sleep only for a positive slack, so a call without slack
+  /// creates no coroutine frame for it.
+  [[nodiscard]] SimDuration finish_api(NameRef name, SimTime start);
 
-  /// Apply injected slack at call entry (kBeforeCall position).
-  sim::Task<> begin_api();
+  /// The injected slack to sleep at call entry (kBeforeCall position),
+  /// zero when none.
+  [[nodiscard]] SimDuration slack_before();
 
   /// Realise one injected sleep. Unbound: a plain delay of `slack`. Bound:
   /// a zero-byte host->GPU crossing of the row network topped up to the

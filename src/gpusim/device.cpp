@@ -86,37 +86,41 @@ void Engine::account(const OpRecord& rec, bool exposed, SimTime arrival) {
   }
 }
 
-void Engine::settle_booking(SimTime now) {
-  if (!booking_sample_due_ || busy_until_ > now) return;
-  booking_sample_due_ = false;
-  obs::Tracer::instance().counter_sim(device_.trace_id(), track_, busy_until_.ns(), "gpu",
-                                      name_ + ".queue", static_cast<double>(queued_));
+std::int64_t Engine::arrive(SimTime now) {
+  settle_bookings(now);
+  const auto ahead = queued_ + static_cast<std::int64_t>(booked_.size());
+  queue_depth_.observe(ahead);
+  if (const std::int32_t trace_id = device_.trace_id(); trace_id >= 0) {
+    for (std::size_t i = 0; i < booked_.size(); ++i) ++booked_[i].behind;
+    obs::Tracer::instance().counter_sim(trace_id, track_, now.ns(), "gpu", name_ + ".queue",
+                                        static_cast<double>(ahead + 1));
+  }
+  return ahead;
+}
+
+void Engine::settle_bookings(SimTime now) {
+  while (!booked_.empty() && booked_[0].end <= now) {
+    const Booking done = booked_.pop();
+    if (const std::int32_t trace_id = device_.trace_id(); trace_id >= 0) {
+      obs::Tracer::instance().counter_sim(trace_id, track_, done.end.ns(), "gpu",
+                                          name_ + ".queue", static_cast<double>(done.behind));
+    }
+  }
 }
 
 sim::Task<> Engine::execute(OpRecord& rec, SimDuration service) {
   const SimTime arrival = sched_.now();
-  settle_booking(arrival);
   // Pipelining: the setup overhead is exposed only when the engine had no
-  // work at arrival (nothing to hide it behind). An outstanding booking is
-  // work: it counts as one queued op.
-  const std::int64_t ahead = queued_ + (busy_until_ > arrival ? 1 : 0);
-  const bool exposed = (ahead == 0);
-  queue_depth_.observe(ahead);
+  // work at arrival (nothing to hide it behind). Each outstanding booking
+  // is work: it counts as one queued op.
+  const bool exposed = arrive(arrival) == 0;
   ++queued_;
-  const std::int32_t trace_id = device_.trace_id();
-  if (trace_id >= 0) {
-    obs::Tracer::instance().counter_sim(trace_id, track_, arrival.ns(), "gpu",
-                                        name_ + ".queue", static_cast<double>(ahead + 1));
-  }
   co_await server_.acquire();
   sim::SemaphoreGuard guard{server_};
-  // A booking holds the engine by timestamp, not by the permit: wait it
+  // Bookings hold the engine by timestamp, not by the permit: wait them
   // out while *holding* the permit, so later arrivals queue FIFO behind
   // this op exactly as they would behind a scheduled holder.
-  if (busy_until_ > sched_.now()) {
-    co_await sim::delay(busy_until_ - sched_.now());
-    settle_booking(sched_.now());
-  }
+  if (busy_until() > sched_.now()) co_await sim::delay(busy_until() - sched_.now());
 
   // `start`/`end` bracket the op's *execution*, as a profiler reports it;
   // setup, wake, and context-switch costs show up as queue delay instead.
@@ -127,28 +131,25 @@ sim::Task<> Engine::execute(OpRecord& rec, SimDuration service) {
   device_.end_op();
   --queued_;
   account(rec, exposed, arrival);
-  if (trace_id >= 0) {
+  if (const std::int32_t trace_id = device_.trace_id(); trace_id >= 0) {
     obs::Tracer::instance().counter_sim(trace_id, track_, rec.end.ns(), "gpu",
                                         name_ + ".queue", static_cast<double>(queued_));
   }
 }
 
 bool Engine::try_book(OpRecord& rec, SimDuration service) {
+  if (queued_ > 0) return false;
   const SimTime now = sched_.now();
-  if (queued_ > 0 || busy_until_ > now) return false;
-  settle_booking(now);
-  queue_depth_.observe(0);
-  const std::int32_t trace_id = device_.trace_id();
-  if (trace_id >= 0) {
-    obs::Tracer::instance().counter_sim(trace_id, track_, now.ns(), "gpu", name_ + ".queue",
-                                        1.0);
-    booking_sample_due_ = true;
-  }
-  rec.start = now + enter_service(rec, /*exposed=*/true);
+  const bool exposed = arrive(now) == 0;
+  // Behind a booking the op starts when the last one ends: its setup hides
+  // behind that work, and the booking keeps the device busy until then, so
+  // enter_service charges no wake (W(0) = 0 on the scheduled path).
+  const SimTime from = exposed ? now : busy_until();
+  rec.start = from + enter_service(rec, exposed);
   rec.end = rec.start + service;
-  busy_until_ = rec.end;
+  booked_.push(Booking{rec.end});
   device_.book_end(rec.end);
-  account(rec, /*exposed=*/true, now);
+  account(rec, exposed, now);
   return true;
 }
 
@@ -166,7 +167,7 @@ Device::Device(sim::Scheduler& sched, DeviceParams params, interconnect::Link li
 
 Device::~Device() {
   // A booking nobody waited for still owes its end-of-service sample.
-  for (Engine* engine : {&compute_, &h2d_, &d2h_}) engine->settle_booking(SimTime::max());
+  for (Engine* engine : {&compute_, &h2d_, &d2h_}) engine->settle_bookings(SimTime::max());
   const std::int64_t ops = compute_.ops_ + h2d_.ops_ + d2h_.ops_;
   if (ops == 0) return;
   auto& reg = obs::Registry::global();
@@ -239,19 +240,14 @@ void Device::end_op() {
 }
 
 void Device::book_end(SimTime end) {
-  RSD_ASSERT(booked_count_ < booked_ends_.size());
-  std::size_t i = booked_count_++;
+  booked_ends_.push(end);
+  std::size_t i = booked_ends_.size() - 1;
   for (; i > 0 && booked_ends_[i - 1] > end; --i) booked_ends_[i] = booked_ends_[i - 1];
   booked_ends_[i] = end;
 }
 
 void Device::retire_booked(SimTime now) {
-  std::size_t done = 0;
-  while (done < booked_count_ && booked_ends_[done] <= now) close_op(booked_ends_[done++]);
-  if (done == 0) return;
-  std::copy(booked_ends_.begin() + done, booked_ends_.begin() + booked_count_,
-            booked_ends_.begin());
-  booked_count_ -= done;
+  while (!booked_ends_.empty() && booked_ends_[0] <= now) close_op(booked_ends_.pop());
 }
 
 void Device::close_op(SimTime at) {
@@ -267,7 +263,7 @@ SimDuration Device::device_busy_time(SimTime now) const {
   // them; every booked op is still counted in busy_ops_.
   SimDuration busy = total_busy_;
   int in_flight = busy_ops_;
-  for (std::size_t i = 0; i < booked_count_ && booked_ends_[i] <= now; ++i) {
+  for (std::size_t i = 0; i < booked_ends_.size() && booked_ends_[i] <= now; ++i) {
     if (--in_flight == 0) busy += booked_ends_[i] - busy_since_;
   }
   if (in_flight > 0) busy += now - busy_since_;

@@ -20,31 +20,38 @@
 // the paper's observation that H2D/D2H DMAs and kernels proceed in
 // parallel. Streams are in-order; different streams interleave freely.
 //
-// Express occupancy: an op that finds its engine idle (nothing queued, no
-// booking outstanding) has closed-form timing — start = now + exposed
-// setup + wake + switch, end = start + service — so `Engine::try_book`
-// fills its record, tallies and tracer records at arrival and reserves the
-// engine until `end` by timestamp, with no event at all. `execute()` counts
-// an outstanding booking as one queued op and waits it out while holding
-// the engine's permit, so later arrivals queue FIFO behind it exactly as
-// behind a scheduled op (net::Network's express rule). Tie rule: a booking
-// ending at or before `now` is over, so an op arriving exactly at a booked
-// end finds the engine idle — the order in which a scheduled op's own
-// completion event precedes a caller that waited for it. The device
-// retires booked ends lazily, in end-time order, before it next opens or
-// closes an op or reports busy time; same-instant ties across engines are
-// harmless there, since W(0) = 0 and the union of busy intervals does not
-// depend on order. tests/gpusim_device_test.cpp pins booked against
-// scheduled timing field by field.
+// Express occupancy: an op that arrives with nothing queued through
+// `execute()` has closed-form timing, so `Engine::try_book` fills its
+// record, tallies and tracer records at arrival and reserves the engine
+// until `end` by timestamp, with no event at all. On an idle engine (no
+// booking outstanding) start = now + exposed setup + wake + switch. Behind
+// outstanding bookings the op chains: it starts when the last one ends
+// (plus any process switch), unexposed and with no wake — the booking keeps
+// the device busy through that instant, so W(0) = 0 — exactly when a
+// scheduled op queued behind them would start. Either way end = start +
+// service. `execute()` counts each outstanding booking as one queued op and
+// waits the chain out while holding the engine's permit, so later arrivals
+// queue FIFO behind it exactly as behind scheduled ops (net::Network's
+// express rule). Tie rule: a booking ending at or before `now` is over, so
+// an op arriving exactly at the last booked end finds the engine idle —
+// the order in which a scheduled op's own completion event precedes a
+// caller that waited for it. The device retires booked ends lazily, in
+// end-time order, before it next opens or closes an op or reports busy
+// time; same-instant ties across engines are harmless there, since W(0) =
+// 0 and the union of busy intervals does not depend on order. A booking's
+// end-of-service queue sample waits until the engine next sees an arrival
+// after that end, when every op that queued behind it is known.
+// tests/gpusim_device_test.cpp pins booked against scheduled timing and
+// tracer output field by field.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/inline_fifo.hpp"
 #include "core/units.hpp"
 #include "gpusim/records.hpp"
 #include "interconnect/link.hpp"
@@ -141,11 +148,12 @@ class Engine {
   /// start/end/exposed/wake fields. Resumes when the op completes.
   sim::Task<> execute(OpRecord& rec, SimDuration service);
 
-  /// Express occupancy: when the engine is idle, book the op in closed
-  /// form — its record, tallies and tracer records come out exactly as
-  /// execute() would make them, and the engine is reserved until
-  /// `rec.end` — and return true. Returns false, touching nothing, when
-  /// the engine is busy; the caller then co_awaits execute() instead.
+  /// Express occupancy: unless an op is queued through execute(), book
+  /// the op in closed form — on an idle engine after its exposed setup,
+  /// behind outstanding bookings from the last one's end — fill its record,
+  /// tallies and tracer records exactly as execute() would, reserve the
+  /// engine until `rec.end`, and return true. Returns false, touching
+  /// nothing, while an op is queued; the caller then co_awaits execute().
   /// Booked ops count toward busy_time() from the moment they are booked.
   [[nodiscard]] bool try_book(OpRecord& rec, SimDuration service);
 
@@ -161,10 +169,25 @@ class Engine {
   SimDuration enter_service(OpRecord& rec, bool exposed);
   /// Tallies and tracer records of an op whose start/end are known.
   void account(const OpRecord& rec, bool exposed, SimTime arrival);
-  /// Emits the queue-depth sample at the end of a finished booking: the
-  /// ops that arrived during it. Deferred because the booking knows its
-  /// end but not who will queue behind it.
-  void settle_booking(SimTime now);
+  /// An op arrives now: settles the bookings that have ended, tallies the
+  /// queue depth it sees, and returns the ops ahead of it — those queued
+  /// through execute() plus the outstanding bookings.
+  std::int64_t arrive(SimTime now);
+  /// Drops the bookings that ended by `now`, emitting the queue-depth
+  /// sample each owes at its end: the ops that arrived during it. Deferred
+  /// because a booking knows its end but not who will queue behind it.
+  void settle_bookings(SimTime now);
+  /// End of the latest booking not yet settled (zero when none).
+  [[nodiscard]] SimTime busy_until() const {
+    return booked_.empty() ? SimTime::zero() : booked_.back().end;
+  }
+
+  /// A booked op: its end and, when tracing, the ops that arrived while it
+  /// was outstanding.
+  struct Booking {
+    SimTime end;
+    std::int64_t behind = 0;
+  };
 
   sim::Scheduler& sched_;
   Device& device_;
@@ -174,8 +197,9 @@ class Engine {
   bool charges_switch_;
   sim::Semaphore server_;
   std::int64_t queued_ = 0;  ///< Ops inside execute(); bookings not counted.
-  SimTime busy_until_ = SimTime::zero();  ///< End of the latest booking.
-  bool booking_sample_due_ = false;       ///< Tracing: settle_booking pending.
+  /// Bookings not yet settled, oldest first; their ends ascend, since each
+  /// books from the previous end at the earliest.
+  InlineFifo<Booking, 4> booked_;
   int last_process_ = -1;
   SimDuration busy_time_ = SimDuration::zero();
   // Local tallies flushed into obs::Registry by ~Device (no per-op atomics).
@@ -271,10 +295,9 @@ class Device {
   SimDuration total_busy_ = SimDuration::zero();
   std::int64_t wake_count_ = 0;
   SimDuration total_wake_ = SimDuration::zero();
-  /// Ends of booked ops still counted in busy_ops_, ascending; at most one
-  /// per engine, since an engine books only when its last booking is over.
-  std::array<SimTime, 3> booked_ends_{};
-  std::size_t booked_count_ = 0;
+  /// Ends of booked ops still counted in busy_ops_, ascending: each
+  /// engine's chain of bookings, merged.
+  InlineFifo<SimTime, 8> booked_ends_;
 };
 
 }  // namespace rsd::gpu

@@ -1,13 +1,13 @@
 #include "gpusim/row.hpp"
 
 #include <algorithm>
-#include <array>
-#include <memory>
+#include <coroutine>
+#include <utility>
 
 #include "core/error.hpp"
+#include "core/inline_fifo.hpp"
 #include "interconnect/link.hpp"
 #include "sim/partition.hpp"
-#include "sim/sync.hpp"
 
 namespace rsd::gpu {
 
@@ -42,67 +42,65 @@ std::vector<sim::PartitionId> chassis_partitions(const net::Topology& topo, int 
   return part;
 }
 
-/// FIFO of inbound-chunk drain times, one per unconsumed inbound permit: a
-/// ring over an inline buffer, moved to the heap only if a neighbour runs
-/// further ahead than the buffer holds (the 512-GPU multi-chassis rows
-/// reach 3), so a row of ranks allocates nothing for it.
-class LandingFifo {
- public:
-  LandingFifo() = default;
-  LandingFifo(const LandingFifo&) = delete;  // buf_ may point into inline_
-  LandingFifo& operator=(const LandingFifo&) = delete;
-
-  void push(SimTime at) {
-    if (size_ == cap_) {
-      auto wider = std::make_unique<SimTime[]>(2 * cap_);
-      for (std::size_t i = 0; i < size_; ++i) wider[i] = buf_[(head_ + i) % cap_];
-      heap_ = std::move(wider);
-      buf_ = heap_.get();
-      cap_ *= 2;
-      head_ = 0;
-    }
-    buf_[(head_ + size_++) % cap_] = at;
-  }
-
-  SimTime pop() {
-    RSD_ASSERT(size_ > 0);
-    const SimTime at = buf_[head_];
-    head_ = (head_ + 1) % cap_;
-    --size_;
-    return at;
-  }
-
- private:
-  std::array<SimTime, 4> inline_{};
-  std::unique_ptr<SimTime[]> heap_;
-  SimTime* buf_ = inline_.data();
-  std::size_t cap_ = inline_.size();
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
-
 }  // namespace
 
-/// Partition-local state of one rank. The Device and the inbound semaphore
-/// belong to the scheduler of the rank's chassis partition, which it
-/// shares with the other ranks of that chassis; nothing here is ever
-/// touched from another partition (the arrival message below runs *inside*
-/// the destination partition by construction).
+/// Partition-local state of one rank. The Device belongs to the scheduler
+/// of the rank's chassis partition, which it shares with the other ranks
+/// of that chassis; nothing here is ever touched from another partition
+/// (the arrival message below runs *inside* the destination partition by
+/// construction).
 struct PartitionedRow::Rank {
   Rank(sim::Scheduler& sched, const DeviceParams& params)
-      : dev(sched, params, interconnect::make_pcie_gen4_x16()), inbound(sched, 0) {}
+      : dev(sched, params, interconnect::make_pcie_gen4_x16()) {}
 
-  /// An inbound chunk is in: its H2D copy drains at `at` (booked at
-  /// landing, or already drained on the scheduled path).
-  void land(SimTime at) {
-    landings.push(at);
-    inbound.release();
+  /// The end of a ring phase whose outbound DMA drains at `d2h_end`:
+  /// resumes the rank once that DMA and the phase's inbound chunk have
+  /// both drained, at the cost of one event — the rank's own sleep when
+  /// the chunk landed first, else the arrival's direct wake (land()).
+  struct PhaseDrained {
+    Rank& rank;
+    SimTime d2h_end;
+    bool landed = false;
+    SimTime wake = SimTime::zero();
+
+    [[nodiscard]] bool await_ready() {
+      if (rank.landings.empty()) return false;
+      landed = true;
+      wake = std::max(d2h_end, rank.landings.pop());
+      return wake <= rank.dev.scheduler().now();
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      if (landed) {
+        rank.dev.scheduler().schedule_at(h, wake);
+        return;
+      }
+      rank.waiting = h;
+      rank.waiting_d2h_end = d2h_end;
+    }
+    void await_resume() const noexcept {}
+  };
+
+  [[nodiscard]] PhaseDrained phase_drained(SimTime d2h_end) { return {*this, d2h_end}; }
+
+  /// An inbound chunk is in and its H2D copy drains at `drain`. A rank
+  /// already waiting for it resumes once that copy and its own D2H have
+  /// both drained; otherwise the drain time waits in `landings`.
+  void land(SimTime drain) {
+    if (!waiting) {
+      landings.push(drain);
+      return;
+    }
+    dev.scheduler().schedule_at(std::exchange(waiting, nullptr),
+                                std::max(waiting_d2h_end, drain));
   }
 
   Device dev;
-  /// One permit per inbound chunk whose H2D copy is booked or has drained.
-  sim::Semaphore inbound;
-  LandingFifo landings;  ///< Those chunks' drain times, FIFO with the permits.
+  /// Drain times of chunks that landed before the rank waited for them,
+  /// oldest first (a neighbour runs at most 3 phases ahead on the 512-GPU
+  /// multi-chassis rows).
+  InlineFifo<SimTime, 4> landings;
+  std::coroutine_handle<> waiting;  ///< The rank, parked until its chunk lands.
+  SimTime waiting_d2h_end = SimTime::zero();  ///< The parked rank's outbound DMA end.
   SimTime finished = SimTime::zero();
   std::vector<std::int64_t> step_ends;
 };
@@ -110,10 +108,9 @@ struct PartitionedRow::Rank {
 /// Ring payload: an allreduce chunk landing at `rank`. Runs in the rank's
 /// partition at arrival time — as a cross-partition message when the ring
 /// edge leaves the chassis, as a plain local event when it stays inside.
-/// The chunk occupies the H2D engine for the transfer duration: booked in
-/// closed form when the engine is idle, which is nearly always, else run as
-/// a scheduled op behind the work already there. Either way the rank gets
-/// an inbound permit with the copy's drain time.
+/// The chunk occupies the H2D engine for the transfer duration, booked in
+/// closed form at landing: on an idle engine, or chained behind the copies
+/// still booked there. The drain time goes to the rank.
 struct RowArrival {
   PartitionedRow* row;
   int rank;
@@ -127,17 +124,12 @@ struct RowArrival {
     rec.kind = OpKind::kMemcpyH2D;
     rec.name = name;
     rec.bytes = chunk;
-    if (r.dev.h2d_engine().try_book(rec, transfer)) {
-      if (auto* sink = r.dev.record_sink(); sink != nullptr) sink->on_op(rec);
-      r.land(rec.end);
-      return;
-    }
-    r.dev.scheduler().spawn([](PartitionedRow::Rank& rk, OpRecord op,
-                               SimDuration dur) -> sim::Task<> {
-      co_await rk.dev.h2d_engine().execute(op, dur);
-      if (auto* sink = rk.dev.record_sink(); sink != nullptr) sink->on_op(op);
-      rk.land(op.end);
-    }(r, rec, transfer));
+    // Only arrivals use a rank's H2D engine and none goes through
+    // execute(), so the engine never declines.
+    const bool booked = r.dev.h2d_engine().try_book(rec, transfer);
+    RSD_ASSERT(booked);
+    if (auto* sink = r.dev.record_sink(); sink != nullptr) sink->on_op(rec);
+    r.land(rec.end);
   }
 };
 static_assert(sizeof(RowArrival) <= sim::CrossCall::kInlineBytes);
@@ -147,9 +139,11 @@ static_assert(sizeof(RowArrival) <= sim::CrossCall::kInlineBytes);
 /// would run 512 full Dijkstras over its 261,632 links). Multi-chassis
 /// graphs are not: an edge that crosses a chassis boundary routes over
 /// NIC + fibre while an intra-chassis edge stays on the NVLink-class
-/// links, so every edge is routed on its own. A zero-latency edge cannot
-/// bound message arrival at all, so it is a usage error, not an invariant
-/// violation.
+/// links, so every edge is routed on its own, by the early-exit
+/// point-to-point search — each source is asked for one route only, so a
+/// dense route table per source would cost a full Dijkstra and a row of
+/// Paths for nothing. A zero-latency edge cannot bound message arrival at
+/// all, so it is a usage error, not an invariant violation.
 std::vector<PartitionedRow::RingEdge> PartitionedRow::route_ring(const net::Topology& topo,
                                                                  const RowParams& params) {
   const int n = params.gpus;
@@ -164,10 +158,18 @@ std::vector<PartitionedRow::RingEdge> PartitionedRow::route_ring(const net::Topo
     }
     const net::NodeId src = topo.device(rank);
     const net::NodeId dst = topo.device((rank + 1) % n);
-    // One lookup per field: fabric_compare's tracked `route_hits` column
-    // counts the row's route() calls.
-    ring.push_back(RingEdge{.latency = topo.route(src, dst).latency,
-                            .optical = topo.route(src, dst).optical_hops > 0});
+    if (flat) {
+      // One lookup per field: fabric_compare's tracked `route_hits` column
+      // counts the row's route() calls.
+      ring.push_back(RingEdge{.latency = topo.route(src, dst).latency,
+                              .bottleneck_gib_s = topo.route(src, dst).bottleneck_gib_s,
+                              .optical = topo.route(src, dst).optical_hops > 0});
+    } else {
+      const net::Path path = topo.route_dijkstra(src, dst);
+      ring.push_back(RingEdge{.latency = path.latency,
+                              .bottleneck_gib_s = path.bottleneck_gib_s,
+                              .optical = path.optical_hops > 0});
+    }
     if (ring.back().latency.ns() <= 0) {
       throw Error{ErrorCode::kInvalidArgument,
                   "PartitionedRow: fabric '" + std::string{net::to_string(params.fabric_kind)} +
@@ -272,7 +274,7 @@ sim::Task<> PartitionedRow::rank_loop(int rank, const RowTraining& training) {
     // Ring allreduce as message exchange. Each phase: post the chunk to
     // the ring neighbor (a local event when the neighbor shares this
     // chassis), book the outbound DMA — the D2H engine is idle at every
-    // phase start, since the last phase waited its DMA out — then sleep
+    // phase start, since the last phase waited its DMA out — then wait
     // once, until both the inbound chunk and the local DMA have drained.
     for (int phase = 0; phase < phases; ++phase) {
       if (circuit_pending) {
@@ -285,13 +287,10 @@ sim::Task<> PartitionedRow::rank_loop(int rank, const RowTraining& training) {
       out.kind = OpKind::kMemcpyD2H;
       out.name = send_name;
       out.bytes = chunk_;
-      if (!self.dev.d2h_engine().try_book(out, edge_transfer)) {
-        co_await self.dev.d2h_engine().execute(out, edge_transfer);
-      }
+      const bool booked = self.dev.d2h_engine().try_book(out, edge_transfer);
+      RSD_ASSERT(booked);  // only this rank uses its D2H engine, always booking
       if (auto* sink = self.dev.record_sink(); sink != nullptr) sink->on_op(out);
-      co_await self.inbound.acquire();
-      const SimTime drained = std::max(out.end, self.landings.pop());
-      if (drained > sched.now()) co_await sim::delay(drained - sched.now());
+      co_await self.phase_drained(out.end);
     }
     self.step_ends.push_back(sched.now().ns());
   }
@@ -304,16 +303,11 @@ SimTime PartitionedRow::run_training(const RowTraining& training) {
                       : training.gradient_bytes;
   // Chunk serialisation per ring edge from the machine model; on the
   // default ring this is latency + chunk/bandwidth, exactly the pre-
-  // machine-model arithmetic. Flat rows share one price, as in route_ring.
-  const bool flat = topo_->nic_count() == 0;
+  // machine-model arithmetic.
   edge_transfer_.resize(ring_.size());
   for (std::size_t rank = 0; rank < ring_.size(); ++rank) {
     edge_transfer_[rank] =
-        flat && rank > 0
-            ? edge_transfer_.front()
-            : topo_->transfer_time(topo_->device(static_cast<int>(rank)),
-                                   topo_->device(static_cast<int>((rank + 1) % ring_.size())),
-                                   chunk_);
+        net::transfer_time(ring_[rank].latency, ring_[rank].bottleneck_gib_s, chunk_);
   }
   for (int rank = 0; rank < size(); ++rank) {
     sim::Partition& part = engine_.partition(part_of_[static_cast<std::size_t>(rank)]);

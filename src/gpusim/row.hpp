@@ -39,12 +39,13 @@
 //     without any global barrier.
 //
 // Both copies use express engine occupancy (gpu::Engine::try_book): the
-// rank posts its chunk and books its D2H inline, the arrival books the
-// H2D at landing when that engine is idle (else runs it as a scheduled op
-// behind the work already there) and hands the rank a permit with the
-// copy's drain time, and the rank sleeps once, until max(D2H end, drain).
-// A rank-phase therefore costs 3 events — the arrival, the inbound
-// wakeup and the sleep — with timing identical to scheduling each copy.
+// rank posts its chunk and books its D2H inline, and the arrival books the
+// H2D at landing — on an idle engine, or chained behind the copies still
+// booked there — so no copy ever runs through execute(). The arrival then
+// wakes the rank directly at max(D2H end, drain) if it is already waiting;
+// else it leaves the drain time for the rank, which sleeps until that max
+// itself. A rank-phase therefore costs 2 events — the arrival and the
+// rank's one resumption — with timing identical to scheduling each copy.
 //
 // Every quantity below is simulated time, so results are byte-identical at
 // any `sim_threads` (asserted by tests/par_des_determinism_test.cpp and
@@ -137,8 +138,9 @@ class PartitionedRow {
   struct Rank;
   /// The route-dependent pricing of ring edge rank -> rank+1.
   struct RingEdge {
-    SimDuration latency;  ///< Routed path latency: the chunk's flight time.
-    bool optical;         ///< The route crosses an optical circuit.
+    SimDuration latency;      ///< Routed path latency: the chunk's flight time.
+    double bottleneck_gib_s;  ///< Routed path bottleneck: the chunk's serialisation.
+    bool optical;             ///< The route crosses an optical circuit.
   };
   friend struct RowArrival;
 

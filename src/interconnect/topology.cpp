@@ -242,10 +242,14 @@ Path Topology::route_dijkstra(NodeId src, NodeId dst) const {
   return path;
 }
 
+SimDuration transfer_time(SimDuration latency, double bottleneck_gib_s, Bytes bytes) {
+  return latency + duration::seconds(static_cast<double>(bytes) /
+                                     (bottleneck_gib_s * static_cast<double>(kGiB)));
+}
+
 SimDuration Topology::transfer_time(NodeId src, NodeId dst, Bytes bytes) const {
   const Path& p = route(src, dst);
-  return p.latency + duration::seconds(static_cast<double>(bytes) /
-                                       (p.bottleneck_gib_s * static_cast<double>(kGiB)));
+  return net::transfer_time(p.latency, p.bottleneck_gib_s, bytes);
 }
 
 }  // namespace rsd::net

@@ -17,9 +17,11 @@
 // next-hop/distance row covering every destination; every later lookup is
 // an O(1) flat-array read (`route_table_hits()` counts them), with the
 // `Path` object materialised from the row on first use. `route_dijkstra()`
-// keeps the original per-pair search as the reference implementation the
-// randomized equivalence test (tests/net_fastpath_test.cpp) cross-checks
-// the tables against. Path latency sums link latencies plus the forwarding
+// is the original per-pair search with an early exit and no table: the
+// reference the randomized equivalence test (tests/net_fastpath_test.cpp)
+// cross-checks the tables against, and the cheaper search for a caller
+// that asks each source for one route only (gpu::PartitionedRow's
+// multi-chassis ring). Path latency sums link latencies plus the forwarding
 // latency of intermediate nodes (an electrical switch's per-hop cost);
 // path bandwidth is the bottleneck link.
 #pragma once
@@ -94,6 +96,13 @@ struct Path {
   [[nodiscard]] bool valid() const { return !links.empty(); }
 };
 
+/// Analytic single-transfer cost over a path of this latency and bottleneck
+/// bandwidth: the fixed latency plus serialisation at the bottleneck link
+/// (cut-through; the event-driven Network charges per-link store-and-forward
+/// and queueing on top of contention).
+[[nodiscard]] SimDuration transfer_time(SimDuration latency, double bottleneck_gib_s,
+                                        Bytes bytes);
+
 class Topology {
  public:
   Topology() = default;
@@ -147,10 +156,10 @@ class Topology {
   /// exists. Tables are invalidated by add_node/add_link.
   [[nodiscard]] const Path& route(NodeId src, NodeId dst) const;
 
-  /// Reference implementation: a fresh per-pair Dijkstra, no tables, no
-  /// caching — byte-for-byte the pre-table algorithm. Exists so tests can
-  /// cross-check `route()` against an independent search on randomized
-  /// topologies; production code wants `route()`.
+  /// A fresh per-pair Dijkstra that stops at `dst`, no tables, no caching
+  /// — byte-for-byte the pre-table algorithm, and the same route as
+  /// `route()` (tests cross-check the two on randomized topologies). Use
+  /// it for a one-off route; repeated lookups from a source want `route()`.
   [[nodiscard]] Path route_dijkstra(NodeId src, NodeId dst) const;
 
   /// Route lookups served from an already-materialised table entry.
@@ -158,10 +167,7 @@ class Topology {
   /// Per-source table builds (full Dijkstra runs) so far.
   [[nodiscard]] std::uint64_t route_table_builds() const { return route_table_builds_; }
 
-  /// Analytic single-transfer cost over the routed path: fixed path
-  /// latency plus serialisation at the bottleneck link (cut-through; the
-  /// event-driven Network charges per-link store-and-forward and queueing
-  /// on top of contention).
+  /// Analytic single-transfer cost over the routed path (net::transfer_time).
   [[nodiscard]] SimDuration transfer_time(NodeId src, NodeId dst, Bytes bytes) const;
 
   /// Circuit reconfiguration delay of every optical switch in this

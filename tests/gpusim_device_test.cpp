@@ -264,17 +264,20 @@ TEST(Device, EngineForDispatch) {
 // -- Express occupancy ------------------------------------------------------
 
 /// One op of a submitting lane: `think` of host time after the lane's
-/// previous op returned, then the op itself.
+/// previous op returned, then the op itself. A `scheduled` op always runs
+/// through execute().
 struct ScriptOp {
   SimDuration think;
   OpKind kind;
   int process;
   SimDuration service;
+  bool scheduled = false;
 };
 
-/// Issue `script` in order. With `book`, an op that finds its engine idle
-/// is booked in closed form and the lane sleeps until the booked end — as
-/// gpu::PartitionedRow's ranks do — otherwise it runs through execute().
+/// Issue `script` in order. With `book`, an op is booked in closed form
+/// and the lane sleeps until the booked end — as gpu::PartitionedRow's
+/// ranks do — unless it is `scheduled` or its engine declines the booking;
+/// otherwise it runs through execute().
 sim::Task<> run_script(Device& dev, const std::vector<ScriptOp>& script,
                        std::vector<OpRecord>& out, bool book) {
   out.reserve(script.size());
@@ -288,7 +291,7 @@ sim::Task<> run_script(Device& dev, const std::vector<ScriptOp>& script,
     rec.submit = dev.scheduler().now();
     rec.bytes = op.kind == OpKind::kKernel ? 0 : 4 * kKiB;
     Engine& engine = dev.engine_for(op.kind);
-    if (book && engine.try_book(rec, op.service)) {
+    if (book && !op.scheduled && engine.try_book(rec, op.service)) {
       co_await sim::delay(rec.end - dev.scheduler().now());
     } else {
       co_await engine.execute(rec, op.service);
@@ -323,20 +326,30 @@ struct ParityRun {
 ///    at 2000 (gap ~1084, wake); H2D exactly t0 after that (no wake); D2H
 ///    0.6 after that (gap just above t0: 10 ns wake);
 ///  - lanes 1-3: an H2D at 10 finds the copy engine idle; H2Ds at 20 and
-///    30 queue behind it; lane 1 then issues again exactly at its first
-///    op's end, behind the two queued ops;
+///    30 queue (chain) behind it; lane 1 then issues again exactly at its
+///    first op's end, behind the two queued ops;
 ///  - lane 4: a kernel p2 at 200 queues behind lane 0's p1 kernel and
 ///    pays the switch when it starts;
 ///  - lane 5: a D2H at 300, then another exactly at its end, on an idle
 ///    engine (exposed again);
 ///  - lanes 6-8, after ~835 of device idle: a D2H at 3000 (wake) and an
 ///    H2D at 3001 are booked, an H2D at 3002 queues behind the latter and
-///    ends last, at 3115, so the device goes idle at a scheduled end while
-///    the earlier booked D2H end is still pending; lane 6 then launches a
-///    kernel at ~3200, whose wake measures the gap from 3115.
+///    ends last, at 3115, so the device goes idle at a queued op's end
+///    while the earlier booked D2H end is still pending; lane 6 then
+///    launches a kernel at ~3200, whose wake measures the gap from 3115;
+///  - lanes 9-15, after ~1774 of device idle: an H2D at 5000 pays the
+///    wake, and H2Ds at 5050 and 5100 land during that wake and queue
+///    behind it; a kernel p3 at 5150 finds the compute engine idle (no
+///    wake: the copies keep the device busy) and a kernel p0 at 5200
+///    queues behind it, paying the switch back; an H2D at 5250 always
+///    runs through execute(), behind the whole copy queue, so an H2D at
+///    5260 finds an op queued there and is scheduled too (a booking is
+///    declined); lane 9 then issues a D2H at ~6281, whose wake measures the
+///    gap from the last kernel's end.
 /// Probes sample busy time and energy at 100 (lane 0's first kernel in
-/// flight), 1000 (idle, every booking retired) and 2500 (lane 0's last
-/// booked D2H over but not yet retired).
+/// flight), 1000 (idle, every booking retired), 2500 (lane 0's last
+/// booked D2H over but not yet retired), 5300 (lanes 9-15 in flight) and
+/// 6200 (idle again, bookings not yet retired).
 ParityRun run_parity_sequence(bool book) {
   const std::vector<std::vector<ScriptOp>> scripts{
       {{SimDuration::zero(), OpKind::kKernel, 0, 100_us},
@@ -352,6 +365,13 @@ ParityRun run_parity_sequence(bool book) {
       {{3000_us, OpKind::kMemcpyD2H, 0, 10_us}, {102500_ns, OpKind::kKernel, 2, 10_us}},
       {{3001_us, OpKind::kMemcpyH2D, 1, 10_us}},
       {{3002_us, OpKind::kMemcpyH2D, 1, 100_us}},
+      {{5000_us, OpKind::kMemcpyH2D, 0, 100_us}, {1_ms, OpKind::kMemcpyD2H, 0, 10_us}},
+      {{5050_us, OpKind::kMemcpyH2D, 1, 30_us}},
+      {{5100_us, OpKind::kMemcpyH2D, 1, 20_us}},
+      {{5150_us, OpKind::kKernel, 3, 40_us}},
+      {{5200_us, OpKind::kKernel, 0, 10_us}},
+      {{5250_us, OpKind::kMemcpyH2D, 2, 15_us, /*scheduled=*/true}},
+      {{5260_us, OpKind::kMemcpyH2D, 2, 5_us}},
   };
   auto& tracer = obs::Tracer::instance();
   tracer.enable();  // fresh timeline: both runs get the same sim id
@@ -365,7 +385,8 @@ ParityRun run_parity_sequence(bool book) {
     }
     sched.spawn(probe(dev,
                       {SimTime::zero() + 100_us, SimTime::zero() + 1_ms,
-                       SimTime::zero() + 2500_us},
+                       SimTime::zero() + 2500_us, SimTime::zero() + 5300_us,
+                       SimTime::zero() + 6200_us},
                       run.busy, run.energy));
     sched.run();
     run.wake_count = dev.wake_count();
@@ -452,8 +473,31 @@ TEST(EngineExpress, BookedOpsMatchScheduledOpsFieldByField) {
   EXPECT_EQ(booked.lanes[8][0].start, booked.lanes[7][0].end);
   EXPECT_EQ(booked.lanes[8][0].end, SimTime::zero() + 3115_us);
   EXPECT_EQ(lane6[1].wake_penalty, dev_wake(lane6[1].submit - booked.lanes[8][0].end));
+  const auto first = [&booked](std::size_t lane) -> const OpRecord& {
+    return booked.lanes[lane][0];
+  };
+  EXPECT_EQ(first(9).wake_penalty, dev_wake(first(9).submit - lane6[1].end));
+  EXPECT_GT(first(9).wake_penalty, 100_us);
+  for (const std::size_t lane : {10, 11}) {  // land during that wake, queue behind it
+    EXPECT_LT(first(lane).submit, first(9).start);
+    EXPECT_EQ(first(lane).start, first(lane - 1).end);
+    EXPECT_EQ(first(lane).exposed_overhead, SimDuration::zero());
+    EXPECT_EQ(first(lane).wake_penalty, SimDuration::zero());
+  }
+  EXPECT_EQ(first(12).exposed_overhead, 8_us);
+  EXPECT_EQ(first(12).wake_penalty, SimDuration::zero());  // the copies keep the device busy
+  EXPECT_EQ(first(13).start, first(12).end + test_params().process_switch);
+  EXPECT_EQ(first(13).exposed_overhead, SimDuration::zero());
+  EXPECT_EQ(first(13).wake_penalty, SimDuration::zero());
+  EXPECT_EQ(first(14).start, first(11).end);  // scheduled behind the queued copies
+  EXPECT_EQ(first(15).start, first(14).end);  // declined, so queued behind that
+  const OpRecord& late = booked.lanes[9][1];
+  EXPECT_GT(late.wake_penalty, SimDuration::zero());  // device idle since the last kernel
+  EXPECT_EQ(late.wake_penalty, dev_wake(late.submit - first(13).end));
 }
 
+// A booking is declined only while an op is queued through execute(); an
+// engine that is merely booked takes the next op as a chained booking.
 TEST(EngineExpress, BusyEngineDeclinesTheBooking) {
   sim::Scheduler sched;
   Device dev{sched, test_params(), interconnect::make_pcie_gen4_x16()};
@@ -461,13 +505,32 @@ TEST(EngineExpress, BusyEngineDeclinesTheBooking) {
   ASSERT_TRUE(dev.d2h_engine().try_book(first, 50_us));
   EXPECT_EQ(first.start, SimTime::zero() + 4_us);
   EXPECT_EQ(first.end, SimTime::zero() + 54_us);
-  OpRecord second;
-  second.submit = SimTime::zero() + 1_us;  // sentinel: must survive untouched
-  EXPECT_FALSE(dev.d2h_engine().try_book(second, 50_us));
-  EXPECT_EQ(second.submit, SimTime::zero() + 1_us);
-  EXPECT_EQ(second.end, SimTime{});
-  EXPECT_EQ(dev.d2h_engine().busy_time(), 50_us);  // counted when booked
-  EXPECT_TRUE(dev.h2d_engine().try_book(second, 10_us));  // other engines are free
+  // Booked, nothing queued: the op starts at the booking's end, its setup
+  // hidden behind it.
+  OpRecord chained;
+  ASSERT_TRUE(dev.d2h_engine().try_book(chained, 20_us));
+  EXPECT_EQ(chained.start, first.end);
+  EXPECT_EQ(chained.end, first.end + 20_us);
+  EXPECT_EQ(chained.exposed_overhead, SimDuration::zero());
+  EXPECT_EQ(chained.wake_penalty, SimDuration::zero());
+  EXPECT_EQ(dev.d2h_engine().busy_time(), 70_us);  // counted when booked
+  // An op queued through execute() waits behind the chain; while it does,
+  // the engine declines bookings.
+  OpRecord queued;
+  sched.spawn([](Device& d, OpRecord& r) -> sim::Task<> {
+    co_await d.d2h_engine().execute(r, 10_us);
+  }(dev, queued));
+  ASSERT_TRUE(sched.step());  // the op enters execute() at 0
+  OpRecord declined;
+  declined.submit = SimTime::zero() + 1_us;  // sentinel: must survive untouched
+  EXPECT_FALSE(dev.d2h_engine().try_book(declined, 50_us));
+  EXPECT_EQ(declined.submit, SimTime::zero() + 1_us);
+  EXPECT_EQ(declined.end, SimTime{});
+  EXPECT_EQ(dev.d2h_engine().busy_time(), 70_us);
+  EXPECT_TRUE(dev.h2d_engine().try_book(declined, 10_us));  // other engines are free
+  sched.run();
+  EXPECT_EQ(queued.start, chained.end);  // behind the whole chain
+  EXPECT_EQ(queued.exposed_overhead, SimDuration::zero());
 }
 
 // Tie rule: a booking that ends at or before `now` is over. An op arriving

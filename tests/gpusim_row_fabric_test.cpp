@@ -4,18 +4,21 @@
 // a ring edge with zero latency must be rejected — it cannot bound
 // cross-partition message arrival — the engine's lookahead graph must be
 // exactly the chassis-crossing ring edges, the one-partition-per-chassis
-// engine must reproduce the tracked row timings exactly, and chunk
-// arrivals must never become root tasks.
+// engine must reproduce the tracked row timings exactly in 2 events per
+// rank-phase, chunk arrivals must never become root tasks, and a row with
+// NICs must route its ring without building route tables.
 #include "gpusim/row.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/error.hpp"
 #include "interconnect/fabric.hpp"
+#include "obs/metrics.hpp"
 
 namespace rsd::gpu {
 namespace {
@@ -249,10 +252,12 @@ TEST(RowFabric, SharedTopologyMatchesOwned) {
 
 TEST(RowFabric, ChassisPartitionsKeepTrackedTiming) {
   // One training step per row, as fabric_compare and multichassis_contention
-  // run it: digest and finish time must equal the tracked CSV cells at any
-  // worker-thread count. The engine runs one partition per chassis, and
-  // only ring edges that leave a chassis carry engine messages — one such
-  // edge per chassis, each used in all 2(n-1) allreduce phases.
+  // run it: digest and finish time must equal the tracked CSV cells (or,
+  // for shapes no CSV tracks, the values they had when a copy that found
+  // its engine booked ran through execute()) at any worker-thread count.
+  // The engine runs one partition per chassis, and only ring edges that
+  // leave a chassis carry engine messages — one such edge per chassis,
+  // each used in all 2(n-1) allreduce phases.
   struct Case {
     net::FabricKind kind;
     int gpus;
@@ -260,6 +265,7 @@ TEST(RowFabric, ChassisPartitionsKeepTrackedTiming) {
     bool chassis_nics;
     std::uint64_t digest;
     std::int64_t finish_ns;
+    bool queues_copies = false;  ///< Some chunks land on a still-booked H2D engine.
   };
   using enum net::FabricKind;
   const std::vector<Case> cases{
@@ -275,38 +281,68 @@ TEST(RowFabric, ChassisPartitionsKeepTrackedTiming) {
       // bench_results/multichassis_contention.csv, multichassis row_step rows.
       {kRing, 128, 4, true, 11156306652983668517ULL, 4522088},
       {kRing, 128, 8, true, 16113397458629373093ULL, 4522088},
+      // Multi-chassis rows of the other fabrics. On the optical one 48
+      // chunks land on an H2D engine still booked and are booked behind
+      // the copies there.
+      {kFullMesh, 128, 8, true, 16113397458629373093ULL, 4522088},
+      {kElectricalSwitch, 128, 8, true, 7664404793485567333ULL, 5187638},
+      {kOpticalCircuit, 128, 8, true, 16986019137394284581ULL, 5205788, true},
+  };
+  auto& reg = obs::Registry::global();
+  const auto unexposed_ops = [&reg] {
+    return reg.counter("gpusim.ops").value() - reg.counter("gpusim.exposed_launches").value();
   };
   for (const Case& c : cases) {
     for (const int threads : {1, 4}) {
+      const std::int64_t unexposed_before = unexposed_ops();
       RowParams params;
       params.gpus = c.gpus;
       params.fabric_kind = c.kind;
       params.gpus_per_chassis = c.gpus_per_chassis;
       params.chassis_nics = c.chassis_nics;
       params.sim_threads = threads;
-      PartitionedRow row{params};
-      const SimTime finish = row.run_training(small_training(1));
+      auto row = std::make_unique<PartitionedRow>(params);
+      const SimTime finish = row->run_training(small_training(1));
       const std::string label = std::string{net::to_string(c.kind)} + " " +
                                 std::to_string(c.gpus) + " GPUs, " +
                                 std::to_string(c.gpus_per_chassis) + "/chassis" +
                                 (c.chassis_nics ? " + NICs" : "") + ", " +
                                 std::to_string(threads) + " threads";
-      EXPECT_EQ(row.digest(), c.digest) << label;
+      EXPECT_EQ(row->digest(), c.digest) << label;
       EXPECT_EQ(finish.ns(), c.finish_ns) << label;
       const int chassis = c.gpus / c.gpus_per_chassis;
-      EXPECT_EQ(row.engine().size(), chassis) << label;
-      EXPECT_EQ(row.engine().messages_delivered(),
+      EXPECT_EQ(row->engine().size(), chassis) << label;
+      EXPECT_EQ(row->engine().messages_delivered(),
                 static_cast<std::uint64_t>(chassis) * 2 * (c.gpus - 1))
           << label;
-      // Express occupancy: a rank-phase costs the chunk's arrival, the
-      // inbound wakeup and one sleep, since both copies are booked in
-      // closed form; the bound leaves room for the kernels and the odd
-      // copy that queues.
-      const double rank_phases = static_cast<double>(c.gpus) * 2 * (c.gpus - 1);
-      EXPECT_LE(static_cast<double>(row.engine().executed_events()) / rank_phases, 4.0)
+      // Express occupancy: a rank-phase costs the chunk's arrival and the
+      // rank's one resumption, since every copy is booked in closed form
+      // and the arrival wakes a waiting rank directly. Each rank adds at
+      // most 8 events per step for its start, its two kernels and an
+      // optical circuit retarget.
+      const std::uint64_t rank_phases = static_cast<std::uint64_t>(c.gpus) * 2 * (c.gpus - 1);
+      EXPECT_LE(row->engine().executed_events(),
+                2 * rank_phases + 8 * static_cast<std::uint64_t>(c.gpus))
           << label;
+      row.reset();  // flushes the devices' tallies
+      // Every booking on an idle engine is exposed; a queued copy is not.
+      EXPECT_EQ(unexposed_ops() > unexposed_before, c.queues_copies) << label;
     }
   }
+}
+
+TEST(RowFabric, MultiChassisRowBuildsNoRouteTable) {
+  // Each ring edge of a row with NICs is routed once, point to point: no
+  // source gets a dense route table (a full Dijkstra and a row of Paths).
+  RowParams params;
+  params.gpus = 64;
+  params.fabric_kind = net::FabricKind::kElectricalSwitch;
+  params.chassis_nics = true;
+  params.sim_threads = 1;
+  PartitionedRow row{params};
+  EXPECT_EQ(row.topology().route_table_builds(), 0u);
+  row.run_training(small_training(1));
+  EXPECT_EQ(row.topology().route_table_builds(), 0u);
 }
 
 }  // namespace
