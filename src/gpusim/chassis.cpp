@@ -26,6 +26,11 @@ sim::Task<> fabric_transfer(Device& src, Device& dst, Bytes bytes, SimDuration d
   recv.name = recv_name;
   recv.bytes = bytes;
 
+  // Each copy books its engine from a coroutine of its own, when that
+  // coroutine first runs, not inline here: events already queued at this
+  // instant (other lanes' ops, other transfers' copies) then reach the
+  // engines first, the order the tracked replay timings were pinned with.
+  // Booking both copies at the spawn reorders them and moves the timing.
   sim::WaitGroup pair{src.scheduler()};
   pair.add(2);
   src.scheduler().spawn([](Device& d, OpRecord rec, SimDuration dur,

@@ -38,19 +38,6 @@ void MemoryPool::free(Handle handle) {
   free_slots_.push_back(static_cast<std::uint32_t>(idx));
 }
 
-SimDuration Engine::enter_service(OpRecord& rec, bool exposed) {
-  const SimDuration wake = device_.begin_op();
-  SimDuration switch_cost = SimDuration::zero();
-  if (charges_switch_ && last_process_ >= 0 && last_process_ != rec.process_id) {
-    switch_cost = device_.params().process_switch;
-  }
-  last_process_ = rec.process_id;
-  rec.exposed_overhead = exposed ? setup_ : SimDuration::zero();
-  rec.wake_penalty = wake;
-  rec.switch_penalty = switch_cost;
-  return rec.exposed_overhead + wake + switch_cost;
-}
-
 void Engine::account(const OpRecord& rec, bool exposed, SimTime arrival) {
   busy_time_ += rec.end - rec.start;
   ++ops_;
@@ -86,18 +73,6 @@ void Engine::account(const OpRecord& rec, bool exposed, SimTime arrival) {
   }
 }
 
-std::int64_t Engine::arrive(SimTime now) {
-  settle_bookings(now);
-  const auto ahead = queued_ + static_cast<std::int64_t>(booked_.size());
-  queue_depth_.observe(ahead);
-  if (const std::int32_t trace_id = device_.trace_id(); trace_id >= 0) {
-    for (std::size_t i = 0; i < booked_.size(); ++i) ++booked_[i].behind;
-    obs::Tracer::instance().counter_sim(trace_id, track_, now.ns(), "gpu", name_ + ".queue",
-                                        static_cast<double>(ahead + 1));
-  }
-  return ahead;
-}
-
 void Engine::settle_bookings(SimTime now) {
   while (!booked_.empty() && booked_[0].end <= now) {
     const Booking done = booked_.pop();
@@ -108,49 +83,37 @@ void Engine::settle_bookings(SimTime now) {
   }
 }
 
-sim::Task<> Engine::execute(OpRecord& rec, SimDuration service) {
-  const SimTime arrival = sched_.now();
-  // Pipelining: the setup overhead is exposed only when the engine had no
-  // work at arrival (nothing to hide it behind). Each outstanding booking
-  // is work: it counts as one queued op.
-  const bool exposed = arrive(arrival) == 0;
-  ++queued_;
-  co_await server_.acquire();
-  sim::SemaphoreGuard guard{server_};
-  // Bookings hold the engine by timestamp, not by the permit: wait them
-  // out while *holding* the permit, so later arrivals queue FIFO behind
-  // this op exactly as they would behind a scheduled holder.
-  if (busy_until() > sched_.now()) co_await sim::delay(busy_until() - sched_.now());
-
-  // `start`/`end` bracket the op's *execution*, as a profiler reports it;
-  // setup, wake, and context-switch costs show up as queue delay instead.
-  co_await sim::delay(enter_service(rec, exposed));
-  rec.start = sched_.now();
-  co_await sim::delay(service);
-  rec.end = sched_.now();
-  device_.end_op();
-  --queued_;
-  account(rec, exposed, arrival);
-  if (const std::int32_t trace_id = device_.trace_id(); trace_id >= 0) {
-    obs::Tracer::instance().counter_sim(trace_id, track_, rec.end.ns(), "gpu",
-                                        name_ + ".queue", static_cast<double>(queued_));
-  }
-}
-
-bool Engine::try_book(OpRecord& rec, SimDuration service) {
-  if (queued_ > 0) return false;
+void Engine::book(OpRecord& rec, SimDuration service) {
   const SimTime now = sched_.now();
-  const bool exposed = arrive(now) == 0;
+  settle_bookings(now);
+  // Pipelining: the setup overhead is exposed only when the engine has no
+  // work at arrival (nothing to hide it behind); each outstanding booking
+  // is work.
+  const auto ahead = static_cast<std::int64_t>(booked_.size());
+  const bool exposed = ahead == 0;
+  queue_depth_.observe(ahead);
+  if (const std::int32_t trace_id = device_.trace_id(); trace_id >= 0) {
+    for (std::size_t i = 0; i < booked_.size(); ++i) ++booked_[i].behind;
+    obs::Tracer::instance().counter_sim(trace_id, track_, now.ns(), "gpu", name_ + ".queue",
+                                        static_cast<double>(ahead + 1));
+  }
   // Behind a booking the op starts when the last one ends: its setup hides
   // behind that work, and the booking keeps the device busy until then, so
-  // enter_service charges no wake (W(0) = 0 on the scheduled path).
-  const SimTime from = exposed ? now : busy_until();
-  rec.start = from + enter_service(rec, exposed);
+  // begin_op charges no wake (W(0) = 0). `start`/`end` bracket the op's
+  // *execution*, as a profiler reports it; setup, wake, and context-switch
+  // costs show up as queue delay instead.
+  const SimTime from = exposed ? now : booked_.back().end;
+  rec.wake_penalty = device_.begin_op();
+  rec.switch_penalty = charges_switch_ && last_process_ >= 0 && last_process_ != rec.process_id
+                           ? device_.params().process_switch
+                           : SimDuration::zero();
+  last_process_ = rec.process_id;
+  rec.exposed_overhead = exposed ? setup_ : SimDuration::zero();
+  rec.start = from + rec.exposed_overhead + rec.wake_penalty + rec.switch_penalty;
   rec.end = rec.start + service;
   booked_.push(Booking{rec.end});
   device_.book_end(rec.end);
   account(rec, exposed, now);
-  return true;
 }
 
 Device::Device(sim::Scheduler& sched, DeviceParams params, interconnect::Link link)
@@ -221,22 +184,16 @@ SimDuration Device::begin_op() {
   const SimTime now = sched_.now();
   retire_booked(now);
   SimDuration wake = SimDuration::zero();
-  if (busy_ops_ == 0 && warmed_up_) {
-    wake = wake_penalty(now - idle_since_);
+  if (booked_ends_.empty()) {
+    if (warmed_up_) wake = wake_penalty(now - idle_since_);
     if (wake > SimDuration::zero()) {
       ++wake_count_;
       total_wake_ += wake;
     }
+    busy_since_ = now;
   }
   warmed_up_ = true;
-  if (busy_ops_ == 0) busy_since_ = now;
-  ++busy_ops_;
   return wake;
-}
-
-void Device::end_op() {
-  retire_booked(sched_.now());
-  close_op(sched_.now());
 }
 
 void Device::book_end(SimTime end) {
@@ -247,27 +204,20 @@ void Device::book_end(SimTime end) {
 }
 
 void Device::retire_booked(SimTime now) {
-  while (!booked_ends_.empty() && booked_ends_[0] <= now) close_op(booked_ends_.pop());
-}
-
-void Device::close_op(SimTime at) {
-  RSD_ASSERT(busy_ops_ > 0);
-  if (--busy_ops_ == 0) {
-    idle_since_ = at;
-    total_busy_ += at - busy_since_;
+  while (!booked_ends_.empty() && booked_ends_[0] <= now) {
+    const SimTime end = booked_ends_.pop();
+    if (booked_ends_.empty()) {
+      idle_since_ = end;
+      total_busy_ += end - busy_since_;
+    }
   }
 }
 
 SimDuration Device::device_busy_time(SimTime now) const {
   // Booked ops that ended by `now` close here as retire_booked would close
-  // them; every booked op is still counted in busy_ops_.
-  SimDuration busy = total_busy_;
-  int in_flight = busy_ops_;
-  for (std::size_t i = 0; i < booked_ends_.size() && booked_ends_[i] <= now; ++i) {
-    if (--in_flight == 0) busy += booked_ends_[i] - busy_since_;
-  }
-  if (in_flight > 0) busy += now - busy_since_;
-  return busy;
+  // them: the busy stretch in progress ends at the last booked end.
+  if (booked_ends_.empty()) return total_busy_;
+  return total_busy_ + (std::min(now, booked_ends_.back()) - busy_since_);
 }
 
 double Device::energy_joules(SimTime now) const {

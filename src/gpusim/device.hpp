@@ -20,29 +20,24 @@
 // the paper's observation that H2D/D2H DMAs and kernels proceed in
 // parallel. Streams are in-order; different streams interleave freely.
 //
-// Express occupancy: an op that arrives with nothing queued through
-// `execute()` has closed-form timing, so `Engine::try_book` fills its
-// record, tallies and tracer records at arrival and reserves the engine
-// until `end` by timestamp, with no event at all. On an idle engine (no
-// booking outstanding) start = now + exposed setup + wake + switch. Behind
-// outstanding bookings the op chains: it starts when the last one ends
-// (plus any process switch), unexposed and with no wake — the booking keeps
-// the device busy through that instant, so W(0) = 0 — exactly when a
-// scheduled op queued behind them would start. Either way end = start +
-// service. `execute()` counts each outstanding booking as one queued op and
-// waits the chain out while holding the engine's permit, so later arrivals
-// queue FIFO behind it exactly as behind scheduled ops (net::Network's
-// express rule). Tie rule: a booking ending at or before `now` is over, so
-// an op arriving exactly at the last booked end finds the engine idle —
-// the order in which a scheduled op's own completion event precedes a
-// caller that waited for it. The device retires booked ends lazily, in
-// end-time order, before it next opens or closes an op or reports busy
-// time; same-instant ties across engines are harmless there, since W(0) =
-// 0 and the union of busy intervals does not depend on order. A booking's
-// end-of-service queue sample waits until the engine next sees an arrival
-// after that end, when every op that queued behind it is known.
-// tests/gpusim_device_test.cpp pins booked against scheduled timing and
-// tracer output field by field.
+// Engine occupancy: an op's timing is closed-form at arrival, so
+// `Engine::book` fills its record, tallies and tracer records then and
+// reserves the engine until `end` by timestamp, with no event at all;
+// `execute()` books and returns the one delay until `end`. On an idle
+// engine (no booking outstanding) start = now + exposed setup + wake +
+// switch. Behind outstanding bookings the op chains: it starts when the
+// last one ends (plus any process switch), unexposed and with no wake — the
+// booking keeps the device busy through that instant, so W(0) = 0. Either
+// way end = start + service, so each engine serves its ops FIFO in arrival
+// order. Tie rule: a booking ending at or before `now` is over, so an op
+// arriving exactly at the last booked end finds the engine idle. The
+// device retires booked ends lazily, in end-time order, before it next
+// opens an op or reports busy time; same-instant ties across engines are
+// harmless there, since W(0) = 0 and the union of busy intervals does not
+// depend on order. A booking's end-of-service queue sample waits until the
+// engine next sees an arrival after that end, when every op that queued
+// behind it is known. tests/gpusim_device_test.cpp pins the timing and
+// tracer output of one op sequence field by field.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +52,6 @@
 #include "interconnect/link.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/sync.hpp"
-#include "sim/task.hpp"
 
 namespace rsd::gpu {
 
@@ -142,20 +135,21 @@ class Engine {
   Engine(sim::Scheduler& sched, Device& device, std::string name, std::int32_t trace_track,
          SimDuration setup_overhead, bool charges_process_switch = false)
       : sched_(sched), device_(device), name_(std::move(name)), track_(trace_track),
-        setup_(setup_overhead), charges_switch_(charges_process_switch), server_(sched, 1) {}
+        setup_(setup_overhead), charges_switch_(charges_process_switch) {}
 
-  /// Execute one op of the given service duration. Fills the record's
-  /// start/end/exposed/wake fields. Resumes when the op completes.
-  sim::Task<> execute(OpRecord& rec, SimDuration service);
+  /// Book one op of the given service duration in closed form — on an idle
+  /// engine after its exposed setup, behind outstanding bookings from the
+  /// last one's end — fill its start/end/penalty fields, tallies and tracer
+  /// records, and reserve the engine until `rec.end`. A booked op counts
+  /// toward busy_time() from the moment it is booked.
+  void book(OpRecord& rec, SimDuration service);
 
-  /// Express occupancy: unless an op is queued through execute(), book
-  /// the op in closed form — on an idle engine after its exposed setup,
-  /// behind outstanding bookings from the last one's end — fill its record,
-  /// tallies and tracer records exactly as execute() would, reserve the
-  /// engine until `rec.end`, and return true. Returns false, touching
-  /// nothing, while an op is queued; the caller then co_awaits execute().
-  /// Booked ops count toward busy_time() from the moment they are booked.
-  [[nodiscard]] bool try_book(OpRecord& rec, SimDuration service);
+  /// Book the op and return the delay until it completes:
+  /// `co_await engine.execute(rec, service)` resumes at `rec.end`.
+  [[nodiscard]] sim::Delay execute(OpRecord& rec, SimDuration service) {
+    book(rec, service);
+    return sim::delay(rec.end - sched_.now());
+  }
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] SimDuration busy_time() const { return busy_time_; }
@@ -163,24 +157,12 @@ class Engine {
  private:
   friend class Device;  ///< Metrics flush at device teardown.
 
-  /// Prices an op entering service now, on both paths: opens it on the
-  /// device (wake penalty), charges any process switch, fills the
-  /// record's penalty fields, and returns the delay before `start`.
-  SimDuration enter_service(OpRecord& rec, bool exposed);
-  /// Tallies and tracer records of an op whose start/end are known.
+  /// Tallies and tracer records of a booked op.
   void account(const OpRecord& rec, bool exposed, SimTime arrival);
-  /// An op arrives now: settles the bookings that have ended, tallies the
-  /// queue depth it sees, and returns the ops ahead of it — those queued
-  /// through execute() plus the outstanding bookings.
-  std::int64_t arrive(SimTime now);
   /// Drops the bookings that ended by `now`, emitting the queue-depth
   /// sample each owes at its end: the ops that arrived during it. Deferred
   /// because a booking knows its end but not who will queue behind it.
   void settle_bookings(SimTime now);
-  /// End of the latest booking not yet settled (zero when none).
-  [[nodiscard]] SimTime busy_until() const {
-    return booked_.empty() ? SimTime::zero() : booked_.back().end;
-  }
 
   /// A booked op: its end and, when tracing, the ops that arrived while it
   /// was outstanding.
@@ -195,8 +177,6 @@ class Engine {
   std::int32_t track_;  ///< SimTrack row in the obs timeline.
   SimDuration setup_;
   bool charges_switch_;
-  sim::Semaphore server_;
-  std::int64_t queued_ = 0;  ///< Ops inside execute(); bookings not counted.
   /// Bookings not yet settled, oldest first; their ends ascend, since each
   /// books from the previous end at the earliest.
   InlineFifo<Booking, 4> booked_;
@@ -266,17 +246,15 @@ class Device {
  private:
   friend class Engine;
 
-  /// Called by an engine at service start; returns the wake penalty the op
-  /// must pay and marks the device busy.
+  /// Called by an engine at booking, before book_end; returns the wake
+  /// penalty the op must pay and opens a busy stretch if the device is idle.
   [[nodiscard]] SimDuration begin_op();
-  void end_op();
   /// A booked op closes at `end` without an event: remember it, and close
   /// it when the device next looks at its busy state.
   void book_end(SimTime end);
-  /// Close every booked op that has ended by `now`, in end-time order.
+  /// Close every booked op that has ended by `now`, in end-time order; the
+  /// device goes idle with the last one.
   void retire_booked(SimTime now);
-  /// One op leaves service at `at`; the device goes idle with the last one.
-  void close_op(SimTime at);
 
   sim::Scheduler& sched_;
   DeviceParams params_;
@@ -288,15 +266,14 @@ class Device {
   RecordSink* sink_ = nullptr;
   std::int32_t trace_id_ = -1;
 
-  int busy_ops_ = 0;
   bool warmed_up_ = false;  ///< First-ever op pays no wake (device starts warm).
   SimTime idle_since_ = SimTime::zero();
   SimTime busy_since_ = SimTime::zero();
   SimDuration total_busy_ = SimDuration::zero();
   std::int64_t wake_count_ = 0;
   SimDuration total_wake_ = SimDuration::zero();
-  /// Ends of booked ops still counted in busy_ops_, ascending: each
-  /// engine's chain of bookings, merged.
+  /// Ends of the booked ops not yet retired, ascending: each engine's chain
+  /// of bookings, merged. The device is busy while any is pending.
   InlineFifo<SimTime, 8> booked_ends_;
 };
 

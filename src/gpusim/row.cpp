@@ -124,10 +124,7 @@ struct RowArrival {
     rec.kind = OpKind::kMemcpyH2D;
     rec.name = name;
     rec.bytes = chunk;
-    // Only arrivals use a rank's H2D engine and none goes through
-    // execute(), so the engine never declines.
-    const bool booked = r.dev.h2d_engine().try_book(rec, transfer);
-    RSD_ASSERT(booked);
+    r.dev.h2d_engine().book(rec, transfer);
     if (auto* sink = r.dev.record_sink(); sink != nullptr) sink->on_op(rec);
     r.land(rec.end);
   }
@@ -287,8 +284,7 @@ sim::Task<> PartitionedRow::rank_loop(int rank, const RowTraining& training) {
       out.kind = OpKind::kMemcpyD2H;
       out.name = send_name;
       out.bytes = chunk_;
-      const bool booked = self.dev.d2h_engine().try_book(out, edge_transfer);
-      RSD_ASSERT(booked);  // only this rank uses its D2H engine, always booking
+      self.dev.d2h_engine().book(out, edge_transfer);
       if (auto* sink = self.dev.record_sink(); sink != nullptr) sink->on_op(out);
       co_await self.phase_drained(out.end);
     }

@@ -38,14 +38,14 @@
 //     dependency chain that makes ring collectives bulk-synchronous
 //     without any global barrier.
 //
-// Both copies use express engine occupancy (gpu::Engine::try_book): the
-// rank posts its chunk and books its D2H inline, and the arrival books the
-// H2D at landing — on an idle engine, or chained behind the copies still
-// booked there — so no copy ever runs through execute(). The arrival then
-// wakes the rank directly at max(D2H end, drain) if it is already waiting;
-// else it leaves the drain time for the rank, which sleeps until that max
-// itself. A rank-phase therefore costs 2 events — the arrival and the
-// rank's one resumption — with timing identical to scheduling each copy.
+// Every engine op is booked in closed form (gpu::Engine::book): the rank
+// posts its chunk and books its D2H inline, the arrival books the H2D at
+// landing — on an idle engine, or chained behind the copies still booked
+// there — and a kernel costs one booking and one sleep until its end. The
+// arrival then wakes the rank directly at max(D2H end, drain) if it is
+// already waiting; else it leaves the drain time for the rank, which
+// sleeps until that max itself. A rank-phase therefore costs 2 events —
+// the arrival and the rank's one resumption.
 //
 // Every quantity below is simulated time, so results are byte-identical at
 // any `sim_threads` (asserted by tests/par_des_determinism_test.cpp and

@@ -220,6 +220,14 @@ Topology build_fabric(const FabricParams& params) {
     std::vector<NodeId> devices;
     devices.reserve(static_cast<std::size_t>(params.gpus));
     for (int i = 0; i < params.gpus; ++i) devices.push_back(topo.device(i));
+    if (params.kind == FabricKind::kFullMesh) {
+      // A flat 512-GPU mesh has 261,632 links (8 MiB). Sized once, the
+      // next mesh reuses the block this one frees; regrown by doubling, the
+      // freed smaller buffers leave heap holes that can lift a process that
+      // builds many rows a whole mesh higher in peak RSS.
+      topo.reserve_links(static_cast<std::size_t>(params.gpus) *
+                         static_cast<std::size_t>(params.gpus - 1));
+    }
     wire_chassis(topo, params, devices, -1);
   }
   if (params.kind == FabricKind::kOpticalCircuit) {

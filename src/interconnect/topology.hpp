@@ -114,6 +114,8 @@ class Topology {
   /// Two directed links, one per direction (the common case).
   void add_duplex(NodeId a, NodeId b, LinkKind kind, double bandwidth_gib_s,
                   SimDuration latency);
+  /// Room for `more` links, so a dense fabric's link list is sized once.
+  void reserve_links(std::size_t more) { links_.reserve(links_.size() + more); }
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }

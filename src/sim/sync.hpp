@@ -9,7 +9,7 @@
 // a release() or put() that finds a waiter assigns the permit/item to that
 // waiter before scheduling it, so a process that arrives in between cannot
 // steal it. This guarantees strict FIFO service order — the property that
-// makes the simulated GPU's FIFO engine queues exact.
+// makes net::Network's FIFO link queues exact.
 #pragma once
 
 #include <coroutine>
@@ -154,33 +154,6 @@ class Semaphore {
   AcquireAwaiter* head_ = nullptr;
   AcquireAwaiter* tail_ = nullptr;
   std::size_t waiting_ = 0;
-};
-
-/// RAII permit for Semaphore; released on destruction.
-class [[nodiscard]] SemaphoreGuard {
- public:
-  explicit SemaphoreGuard(Semaphore& sem) : sem_(&sem) {}
-  SemaphoreGuard(SemaphoreGuard&& other) noexcept : sem_(std::exchange(other.sem_, nullptr)) {}
-  SemaphoreGuard& operator=(SemaphoreGuard&& other) noexcept {
-    if (this != &other) {
-      reset();
-      sem_ = std::exchange(other.sem_, nullptr);
-    }
-    return *this;
-  }
-  SemaphoreGuard(const SemaphoreGuard&) = delete;
-  SemaphoreGuard& operator=(const SemaphoreGuard&) = delete;
-  ~SemaphoreGuard() { reset(); }
-
-  void reset() {
-    if (sem_ != nullptr) {
-      sem_->release();
-      sem_ = nullptr;
-    }
-  }
-
- private:
-  Semaphore* sem_;
 };
 
 /// Counts outstanding work items; `wait()` resumes when the count reaches 0.

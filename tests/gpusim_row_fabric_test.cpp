@@ -253,8 +253,8 @@ TEST(RowFabric, SharedTopologyMatchesOwned) {
 TEST(RowFabric, ChassisPartitionsKeepTrackedTiming) {
   // One training step per row, as fabric_compare and multichassis_contention
   // run it: digest and finish time must equal the tracked CSV cells (or,
-  // for shapes no CSV tracks, the values they had when a copy that found
-  // its engine booked ran through execute()) at any worker-thread count.
+  // for shapes no CSV tracks, the values pinned when they were added) at
+  // any worker-thread count.
   // The engine runs one partition per chassis, and only ring edges that
   // leave a chassis carry engine messages — one such edge per chassis,
   // each used in all 2(n-1) allreduce phases.
@@ -315,14 +315,14 @@ TEST(RowFabric, ChassisPartitionsKeepTrackedTiming) {
       EXPECT_EQ(row->engine().messages_delivered(),
                 static_cast<std::uint64_t>(chassis) * 2 * (c.gpus - 1))
           << label;
-      // Express occupancy: a rank-phase costs the chunk's arrival and the
+      // Engine occupancy: a rank-phase costs the chunk's arrival and the
       // rank's one resumption, since every copy is booked in closed form
       // and the arrival wakes a waiting rank directly. Each rank adds at
-      // most 8 events per step for its start, its two kernels and an
-      // optical circuit retarget.
+      // most 6 events per step for its start, its two kernels (one sleep
+      // each until the booked end) and an optical circuit retarget.
       const std::uint64_t rank_phases = static_cast<std::uint64_t>(c.gpus) * 2 * (c.gpus - 1);
       EXPECT_LE(row->engine().executed_events(),
-                2 * rank_phases + 8 * static_cast<std::uint64_t>(c.gpus))
+                2 * rank_phases + 6 * static_cast<std::uint64_t>(c.gpus))
           << label;
       row.reset();  // flushes the devices' tallies
       // Every booking on an idle engine is exposed; a queued copy is not.

@@ -149,26 +149,6 @@ TEST(Semaphore, PermitNotStolenByLateArriver) {
   EXPECT_EQ(sched.unfinished_count(), 0u);
 }
 
-TEST(SemaphoreGuard, ReleasesOnScopeExit) {
-  Scheduler sched;
-  Semaphore sem{sched, 1};
-  std::vector<std::int64_t> times;
-
-  auto proc = [](Scheduler& s, Semaphore& m, std::vector<std::int64_t>& t) -> Task<> {
-    co_await m.acquire();
-    {
-      SemaphoreGuard g{m};
-      t.push_back(s.now().ns());
-      co_await delay(5_us);
-    }
-  };
-  sched.spawn(proc(sched, sem, times));
-  sched.spawn(proc(sched, sem, times));
-  sched.run();
-  ASSERT_EQ(times.size(), 2u);
-  EXPECT_EQ(times[1], 5'000);
-}
-
 TEST(WaitGroup, WaitsForAll) {
   Scheduler sched;
   WaitGroup wg{sched};

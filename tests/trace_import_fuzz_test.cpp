@@ -2,7 +2,11 @@
 // mutations of small captured proxy, LAMMPS and CosmoFlow exports go
 // through trace::parse_ops_csv and through a reference parser, the
 // earlier getline/stod reader kept verbatim below. Both must accept with
-// identical ops or both throw rsd::Error with the same message.
+// identical ops or both throw rsd::Error with the same message. Every
+// mutant the reader accepts then goes on through the rest of the paper's
+// "trace in, penalty bounds out" pipeline — SlackModel::predict,
+// wl::from_trace and a replay — where each stage must end in rsd::Error or
+// a clean result, and nothing may abort.
 //
 // The reader's number grammar is narrower than strtod's on purpose: a
 // cell with a leading blank or '+', or a hex value, is a bad numeric
@@ -26,9 +30,13 @@
 #include "apps/cosmoflow.hpp"
 #include "apps/lammps.hpp"
 #include "core/error.hpp"
+#include "model/response_surface.hpp"
+#include "model/slack_model.hpp"
 #include "proxy/proxy.hpp"
 #include "trace/import.hpp"
 #include "trace/trace.hpp"
+#include "wl/from_trace.hpp"
+#include "wl/replay.hpp"
 
 namespace rsd::trace {
 namespace {
@@ -302,6 +310,16 @@ std::string to_crlf(const std::string& text) {
   return out;
 }
 
+/// Case `i` of a seed's sequence: case 0 is the seed itself and case 1 its
+/// CRLF form; later cases carry 1-3 mutations, a quarter of them in CRLF.
+std::string mutant(const std::string& seed, int i, std::mt19937_64& rng) {
+  std::string text = seed;
+  const int mutations = i < 2 ? 0 : 1 + static_cast<int>(rng() % 3);
+  for (int m = 0; m < mutations; ++m) mutate(text, rng);
+  if (i == 1 || (i >= 2 && rng() % 4 == 0)) text = to_crlf(text);
+  return text;
+}
+
 // ---------------------------------------------------------------------------
 // Comparison.
 
@@ -376,12 +394,7 @@ TEST_P(TraceImportFuzz, MatchesReferenceParser) {
   int rejected = 0;
   int disagreements = 0;
   for (int i = 0; i < kCasesPerSeed; ++i) {
-    std::string text = seed;
-    // Case 0 is the seed itself and case 1 its CRLF form.
-    const int mutations = i < 2 ? 0 : 1 + static_cast<int>(rng() % 3);
-    for (int m = 0; m < mutations; ++m) mutate(text, rng);
-    if (i == 1 || (i >= 2 && rng() % 4 == 0)) text = to_crlf(text);
-
+    const std::string text = mutant(seed, i, rng);
     const Outcome got = run_parser([](std::istream& in) { return parse_ops_csv(in); }, text);
     const Outcome want =
         run_parser([](std::istream& in) { return reference::parse_ops_csv(in); }, text);
@@ -402,6 +415,69 @@ TEST_P(TraceImportFuzz, MatchesReferenceParser) {
   // Both paths must be exercised, or agreement proves little.
   EXPECT_GE(accepted, kCasesPerSeed / 20);
   EXPECT_GE(rejected, kCasesPerSeed / 20);
+}
+
+/// A tiny proxy response surface (sizes 512 and 2048 at 1 and 2 threads,
+/// 0 and 10 us slack: 8 cells), built once per process.
+const model::SlackModel& tiny_model() {
+  static const model::SlackModel model = [] {
+    proxy::SweepConfig cfg;
+    cfg.matrix_sizes = {512, 2048};
+    cfg.thread_counts = {1, 2};
+    cfg.slacks = {SimDuration::zero(), duration::microseconds(10.0)};
+    cfg.target_compute = duration::milliseconds(20.0);
+    return model::SlackModel{
+        model::ResponseSurface::from_sweep(proxy::run_slack_sweep(proxy::ProxyRunner{}, cfg))};
+  }();
+  return model;
+}
+
+/// A penalty band a prediction may report: 0 <= lower <= upper < inf.
+bool clean_bounds(const model::PenaltyBounds& b) {
+  return b.lower >= 0.0 && b.lower <= b.upper && std::isfinite(b.upper);
+}
+
+TEST_P(TraceImportFuzz, AcceptedMutantsReplay) {
+  const std::string seed = GetParam().capture();
+  ASSERT_GT(seed.size(), 0u);
+  std::mt19937_64 rng{GetParam().rng_seed};
+  const model::SlackModel& model = tiny_model();
+  const SimDuration slack = duration::microseconds(10.0);
+  wl::ReplayOptions options;
+  options.slack = slack;
+
+  int accepted = 0;
+  int replayed = 0;
+  for (int i = 0; i < kCasesPerSeed; ++i) {
+    const std::string text = mutant(seed, i, rng);
+    std::istringstream in{text};
+    Trace trace;
+    try {
+      trace = parse_ops_csv(in);
+    } catch (const Error&) {
+      continue;
+    }
+    ++accepted;
+    const std::string label = std::string{GetParam().app} + " case " + std::to_string(i);
+    try {
+      const model::SlackPrediction p = model.predict(trace, 2, slack);
+      EXPECT_TRUE(clean_bounds(p.kernel) && clean_bounds(p.memory) && clean_bounds(p.total))
+          << label << ": kernel [" << p.kernel.lower << ", " << p.kernel.upper << "] memory ["
+          << p.memory.lower << ", " << p.memory.upper << "] total [" << p.total.lower << ", "
+          << p.total.upper << "]\ntext:\n"
+          << escaped(text);
+    } catch (const Error&) {
+    }
+    try {
+      const wl::ReplayResult r = wl::ReplayEngine{}.run(wl::from_trace(trace), options);
+      EXPECT_GE(r.runtime, SimDuration::zero()) << label << "\ntext:\n" << escaped(text);
+      ++replayed;
+    } catch (const Error&) {
+    }
+  }
+  // The later stages must see mutants, or surviving them proves little.
+  EXPECT_GE(accepted, kCasesPerSeed / 20);
+  EXPECT_GT(replayed, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Captures, TraceImportFuzz,
