@@ -115,8 +115,8 @@ sim::Task<> Chassis::networked_transfer(int src, int dst, Bytes bytes, NameRef s
   co_await device(src).d2h_engine().execute(send, net_->price(src_node, src_nic, bytes));
   if (auto* sink = device(src).record_sink(); sink != nullptr) sink->on_op(send);
 
-  // Stage 2: NIC -> NIC over the row fabric — FIFO queueing, circuit
-  // retargets, and the express path all apply; no engine is occupied.
+  // Stage 2: NIC -> NIC over the row fabric — FIFO link bookings and
+  // circuit retargets apply; no engine is occupied.
   const SimTime nic_start = sched_.now();
   net::TransferStats stats;
   co_await net_->transfer(src_nic, dst_nic, bytes, &stats);

@@ -30,6 +30,7 @@
 #include "interconnect/network.hpp"
 #include "interconnect/topology.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace rsd::gpu {
@@ -66,10 +67,9 @@ struct ChassisParams {
   /// fibre (net::FabricParams::chassis_nics) plus the CDI host endpoint
   /// behind nic0, which Context transport bindings route host<->GPU
   /// traffic through. Cross-chassis collective chunks then execute over an
-  /// event-driven net::Network — FIFO link contention, OCS circuits, and
-  /// the express fast path included — instead of the analytic routed
-  /// price. Off by default; flat chassis build byte-identical graphs and
-  /// timings to before.
+  /// event-driven net::Network — FIFO link contention and OCS circuits
+  /// included — instead of the analytic routed price. Off by default;
+  /// flat chassis build byte-identical graphs and timings to before.
   bool chassis_nics = false;
 };
 

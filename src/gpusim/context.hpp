@@ -69,12 +69,12 @@ struct DeviceBuffer {
 /// Routes a context's host-side traffic over the row-scale machine model
 /// instead of the flat per-device link. When bound, memcpy payloads cross
 /// `transport` between the CDI `host` endpoint and the device's chassis
-/// NIC (`edge`) — FIFO link contention, OCS circuits, and the express fast
-/// path all apply — and the engine service time becomes the NIC->GPU last
-/// hop. Injected slack is realised as a zero-byte host->GPU crossing
-/// topped up to the nominal value: an uncontended crossing costs exactly
-/// the path latency, so Equation 1 accounting is unchanged, while fabric
-/// congestion lengthens the crossing and feeds the Eq 2-3 penalty bounds.
+/// NIC (`edge`) — FIFO link contention and OCS circuits apply — and the
+/// engine service time becomes the NIC->GPU last hop. Injected slack is
+/// realised as a zero-byte host->GPU crossing topped up to the nominal
+/// value: an uncontended crossing costs exactly the path latency, so
+/// Equation 1 accounting is unchanged, while fabric congestion lengthens
+/// the crossing and feeds the Eq 2-3 penalty bounds.
 struct TransportBinding {
   net::Transport* transport = nullptr;
   net::NodeId host = net::kInvalidNode;  ///< CDI host endpoint node.

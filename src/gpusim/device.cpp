@@ -148,10 +148,6 @@ Device::~Device() {
   depth.merge(compute_.queue_depth_);
   depth.merge(h2d_.queue_depth_);
   depth.merge(d2h_.queue_depth_);
-  const SimTime now = sched_.now();
-  if (now.ns() > 0) {
-    reg.gauge("gpusim.compute_utilization").set(compute_.busy_time_.seconds() / now.seconds());
-  }
 }
 
 Engine& Device::engine_for(OpKind kind) {

@@ -97,8 +97,8 @@ struct AllreduceReport {
   std::uint64_t contended_transfers = 0;
   std::uint64_t reconfigurations = 0;
   SimDuration link_busy_total;
-  /// Transfers priced on the express path (uncontended single-hop,
-  /// closed-form timing — see Network's header).
+  /// Single-hop transfers that found their link free (see Network's
+  /// header).
   std::uint64_t express_transfers = 0;
   /// Dense route-table hits during this measurement (topology-level
   /// counter, reported as a delta so shared topologies don't bleed

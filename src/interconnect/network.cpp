@@ -8,11 +8,7 @@
 namespace rsd::net {
 
 Network::Network(sim::Scheduler& sched, const Topology& topology)
-    : sched_(sched), topo_(topology) {
-  links_.reserve(topo_.link_count());
-  for (std::size_t i = 0; i < topo_.link_count(); ++i) {
-    links_.push_back(std::make_unique<LinkState>(sched_));
-  }
+    : sched_(sched), topo_(topology), links_(topo_.link_count()) {
   flushed_route_hits_ = topo_.route_table_hits();
   quiesce_handle_ = obs::QuiesceRegistry::global().add([this] { flush(); });
 }
@@ -28,21 +24,23 @@ void Network::set_usage_bucket(SimDuration width) {
 
 Network::LinkState::Bucket& Network::bucket_at(LinkState& state, SimTime at) {
   const std::int64_t start = (at.ns() / bucket_width_ns_) * bucket_width_ns_;
-  // Simulated time is non-decreasing, so the bucket is either the last one
-  // or a fresh append — no ordered-map node allocation on the hot path.
-  // (A mid-run bucket-width change can map to an older start; book into
-  // the newest bucket rather than break the ordering.)
-  if (!state.buckets.empty() && state.buckets.back().first >= start) {
-    return state.buckets.back().second;
+  auto& buckets = state.buckets;
+  // Nearly always the newest bucket or a fresh append; a queued transfer's
+  // start bucket can lie ahead of a later arrival's, which then inserts.
+  if (buckets.empty() || buckets.back().first < start) {
+    buckets.emplace_back(start, LinkState::Bucket{});
+    return buckets.back().second;
   }
-  state.buckets.emplace_back(start, LinkState::Bucket{});
-  return state.buckets.back().second;
+  auto it = std::lower_bound(buckets.begin(), buckets.end(), start,
+                             [](const auto& b, std::int64_t s) { return b.first < s; });
+  if (it->first != start) it = buckets.emplace(it, start, LinkState::Bucket{});
+  return it->second;
 }
 
 std::vector<LinkUsageSample> Network::link_usage() const {
   std::vector<LinkUsageSample> out;
   for (std::size_t lid = 0; lid < links_.size(); ++lid) {
-    for (const auto& [start, bucket] : links_[lid]->buckets) {
+    for (const auto& [start, bucket] : links_[lid].buckets) {
       LinkUsageSample sample;
       sample.link = static_cast<LinkId>(lid);
       sample.bucket_start_ns = start;
@@ -52,7 +50,7 @@ std::vector<LinkUsageSample> Network::link_usage() const {
       out.push_back(sample);
     }
   }
-  return out;  // buckets append in time order, links ascend: already sorted.
+  return out;  // buckets are kept in start order, links ascend: already sorted.
 }
 
 void Network::flush() {
@@ -77,17 +75,16 @@ void Network::flush() {
   auto& tracer = obs::Tracer::instance();
   if (sim_id_ < 0) sim_id_ = tracer.acquire_sim_id();
   for (std::size_t lid = 0; lid < links_.size(); ++lid) {
-    LinkState& state = *links_[lid];
     const std::int32_t track =
         obs::kTrackNetBase + static_cast<std::int32_t>(lid);
-    for (const auto& [start, bucket] : state.buckets) {
-      if (start <= state.exported_hwm) continue;
+    for (auto& [start, bucket] : links_[lid].buckets) {
+      if (bucket.exported) continue;
       const double util = static_cast<double>(bucket.busy_ns) /
                           static_cast<double>(bucket_width_ns_);
       tracer.counter_sim(sim_id_, track, start, "net", "link.util", util);
       tracer.counter_sim(sim_id_, track, start, "net", "link.queue",
                          static_cast<double>(bucket.max_queue_depth));
-      state.exported_hwm = start;
+      bucket.exported = true;
     }
   }
 }
@@ -106,39 +103,11 @@ sim::Task<> Network::transfer(NodeId src, NodeId dst, Bytes bytes, TransferStats
     }
   }
 
-  // Express path: single hop onto a free wire — no circuit to retarget, no
-  // queue to join. Book the wire by timestamp and sleep exactly once for
-  // serialisation + propagation: one resumption instead of the
-  // acquire/serialize/release/propagate sequence, identical timing
-  // (tests/net_fastpath_test.cpp pins express-on against express-off).
-  if (express_enabled_ && path.links.size() == 1) {
-    LinkState& state = *links_[static_cast<std::size_t>(path.links[0])];
-    const SimTime now = sched_.now();
-    if (state.server.available() > 0 && state.express_busy_until <= now) {
-      const LinkDesc& desc = topo_.link(path.links[0]);
-      const SimDuration serialize = duration::seconds(
-          static_cast<double>(bytes) / (desc.bandwidth_gib_s * static_cast<double>(kGiB)));
-      {
-        LinkState::Bucket& bucket = bucket_at(state, now);
-        bucket.max_queue_depth = std::max(bucket.max_queue_depth, state.pending + 1);
-        bucket.busy_ns += serialize.ns();
-        ++bucket.transfers;
-      }
-      state.express_busy_until = now + serialize;
-      state.busy = state.busy + serialize;
-      busy_total_ = busy_total_ + serialize;
-      if (desc.kind == LinkKind::kFibre) fibre_busy_ = fibre_busy_ + serialize;
-      ++express_;
-      co_await sim::delay(serialize + desc.latency);
-      co_return;
-    }
-  }
-
   bool queued = false;
   for (std::size_t hop = 0; hop < path.links.size(); ++hop) {
     const LinkId lid = path.links[hop];
     const LinkDesc& desc = topo_.link(lid);
-    LinkState& state = *links_[static_cast<std::size_t>(lid)];
+    LinkState& state = links_[static_cast<std::size_t>(lid)];
 
     // Entering an optical circuit: the ingress port must point at the
     // egress this path takes next; retargeting pays the reconfiguration
@@ -157,48 +126,42 @@ sim::Task<> Network::transfer(NodeId src, NodeId dst, Bytes bytes, TransferStats
       }
     }
 
-    if (state.server.available() == 0 || state.express_busy_until > sched_.now()) {
+    // Book the wire: a booking that ends at or before `now` is over; behind
+    // the rest, serialisation starts when the last one ends.
+    const SimTime now = sched_.now();
+    while (!state.booked.empty() && state.booked[0] <= now) state.booked.pop();
+    const SimTime start = state.booked.empty() ? now : state.booked.back();
+    if (start > now) {
       queued = true;
-    }
-    ++state.pending;
-    {
-      LinkState::Bucket& bucket = bucket_at(state, sched_.now());
-      bucket.max_queue_depth = std::max(
-          bucket.max_queue_depth,
-          state.pending + (state.express_busy_until > sched_.now() ? 1 : 0));
-    }
-    co_await state.server.acquire();
-    // An express reservation books the wire by timestamp, not the
-    // semaphore: wait it out while *holding* the permit, so later arrivals
-    // queue FIFO behind this transfer exactly as they would behind a
-    // scheduled holder.
-    if (state.express_busy_until > sched_.now()) {
-      co_await sim::delay(state.express_busy_until - sched_.now());
+    } else if (path.links.size() == 1) {
+      ++express_;
     }
     const SimDuration serialize = duration::seconds(
         static_cast<double>(bytes) / (desc.bandwidth_gib_s * static_cast<double>(kGiB)));
+    state.booked.push(start + serialize);
     {
-      // Busy time books to the bucket where serialisation began; a payload
+      LinkState::Bucket& arrival = bucket_at(state, now);
+      arrival.max_queue_depth =
+          std::max(arrival.max_queue_depth, static_cast<int>(state.booked.size()));
+    }
+    {
+      // Busy time books to the bucket where serialisation begins; a payload
       // longer than the bucket width shows up as utilisation > 1 there
       // rather than being smeared forward.
-      LinkState::Bucket& bucket = bucket_at(state, sched_.now());
-      bucket.busy_ns += serialize.ns();
-      ++bucket.transfers;
+      LinkState::Bucket& begun = bucket_at(state, start);
+      begun.busy_ns += serialize.ns();
+      ++begun.transfers;
     }
-    co_await sim::delay(serialize);
-    state.busy = state.busy + serialize;
     busy_total_ = busy_total_ + serialize;
     if (desc.kind == LinkKind::kFibre) fibre_busy_ = fibre_busy_ + serialize;
-    --state.pending;
-    state.server.release();
 
     // Propagation (plus the crossed node's forwarding cost) overlaps with
-    // the next payload on this link — the wire is already free.
+    // the next payload on this link — the wire is free once serialised.
     SimDuration off_link = desc.latency;
     if (hop + 1 < path.links.size()) {
       off_link = off_link + topo_.node(desc.dst).forward_latency;
     }
-    co_await sim::delay(off_link);
+    co_await sim::delay((start - now) + serialize + off_link);
   }
   if (queued) {
     ++contended_;

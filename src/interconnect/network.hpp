@@ -3,28 +3,33 @@
 // occupations with FIFO contention.
 //
 // Model: store-and-forward pipelining. A transfer walks its routed path
-// link by link; each link is a FIFO server (sim::Semaphore of one permit)
-// occupied for the payload's serialisation time, after which propagation
-// latency (plus the forwarding latency of the node being crossed) elapses
-// off-link — so back-to-back transfers pipeline on a link, and two
-// transfers crossing the same link genuinely queue. On an uncontended
-// single-hop path the cost collapses to latency + bytes/bandwidth, which
-// is exactly the closed-form alpha-beta transfer — the parity the
-// analytic models in gpusim/collective.hpp are kept around to cross-check
+// link by link; each link is a FIFO wire occupied for the payload's
+// serialisation time, after which propagation latency (plus the
+// forwarding latency of the node being crossed) elapses off-link — so
+// back-to-back transfers pipeline on a link, and two transfers crossing
+// the same link genuinely queue. On an uncontended single-hop path the
+// cost collapses to latency + bytes/bandwidth, which is exactly the
+// closed-form alpha-beta transfer — the parity the analytic models in
+// gpusim/collective.hpp are kept around to cross-check
 // (tests/net_collective_test.cpp).
 //
-// Fast path: that single-hop uncontended case is priced in closed form —
-// the *express path*. Instead of the acquire / serialize-event / release /
-// propagate-event sequence, the transfer books the wire by stamping the
-// link's `express_busy_until` timestamp and sleeps exactly once for
-// serialisation + propagation. A scheduled transfer that meets an express
-// reservation first takes the semaphore, then waits the timestamp out
-// while *holding* the permit, so later arrivals queue FIFO behind it and
-// the service order — and therefore every timestamp — is identical with
-// the express path on or off (tests/net_fastpath_test.cpp pins this per
-// fabric). The whole transfer path is allocation-free in steady state:
-// arena-backed coroutine frames, intrusive semaphore waiters, and
-// append-ordered usage buckets (asserted via rsd_alloc_counter).
+// One booking rule prices every hop, the one gpu::Engine::book applies to
+// device engines. Each link keeps the ends of its booked serialisations,
+// oldest first. A transfer that reaches a link at `now` retires the ends
+// at or before `now`, starts at `now` if none is left and otherwise at the
+// last booked end, books `start + serialise`, and sleeps once: until the
+// serialisation ends plus the link latency (plus the crossed node's
+// forwarding cost when another hop follows). One event per hop, no
+// waiter list, and the whole transfer path is allocation-free in steady
+// state (arena-backed coroutine frames, inline booking FIFOs, reused
+// usage buckets; asserted via rsd_alloc_counter).
+//
+// Tie rule: a booking that ends at or before `now` is over, so a transfer
+// arriving exactly as the wire frees finds it free. Same-instant arrivals
+// at a link are served in the order they booked their previous hop (the
+// order the scheduler runs their arrival events). A single-hop transfer
+// that finds its link free counts as an *express* transfer; one that
+// finds any link of its path booked counts as contended.
 //
 // Optical circuit switches add circuit state: each ingress port drives
 // one egress at a time, and a transfer that needs the port pointed
@@ -32,33 +37,34 @@
 // map lives in the Network (per simulation), so replays are
 // deterministic.
 //
-// Counters (transfers, queued acquisitions, circuit reconfigurations,
-// per-link busy time) accumulate locally and flush into the global
-// obs::Registry at quiesce points: the network registers itself with
-// obs::QuiesceRegistry so the harness can force a flush at experiment
-// boundaries, and the destructor flushes whatever remains — `flush()` is
-// idempotent via watermarks, so the two compose.
+// Counters (transfers, contended and express transfers, circuit
+// reconfigurations, busy time) accumulate locally and flush into the
+// global obs::Registry at quiesce points: the network registers itself
+// with obs::QuiesceRegistry so the harness can force a flush at
+// experiment boundaries, and the destructor flushes whatever remains —
+// `flush()` is idempotent via watermarks, so the two compose.
 //
 // Telemetry: every link additionally keeps a time-bucketed usage sampler
 // (busy nanoseconds, transfer count, and peak queue depth per fixed-width
-// simulated-time bucket). The samples surface two ways: `link_usage()`
-// returns them for contention-heatmap CSVs, and — when the obs tracer is
-// enabled — `flush()` emits them as per-link Perfetto counter tracks
-// ("link.util", "link.queue" on kTrackNetBase + link) in the network's
-// own simulated timeline.
+// simulated-time bucket). A transfer records its queue depth (outstanding
+// bookings + 1) in the bucket of its arrival, and its busy time and count
+// in the bucket where its serialisation starts. The samples surface two
+// ways: `link_usage()` returns them for contention-heatmap CSVs, and —
+// when the obs tracer is enabled — `flush()` emits them as per-link
+// Perfetto counter tracks ("link.util", "link.queue" on kTrackNetBase +
+// link) in the network's own simulated timeline.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
+#include "core/inline_fifo.hpp"
 #include "core/units.hpp"
 #include "interconnect/topology.hpp"
 #include "interconnect/transport.hpp"
 #include "obs/quiesce.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace rsd::net {
@@ -100,14 +106,8 @@ class Network : public Transport {
   [[nodiscard]] std::uint64_t transfers() const { return transfers_; }
   /// Transfers that found at least one link busy and had to queue.
   [[nodiscard]] std::uint64_t contended_transfers() const { return contended_; }
-  /// Transfers priced in closed form on the express path.
+  /// Single-hop transfers that found their link free.
   [[nodiscard]] std::uint64_t express_transfers() const { return express_; }
-  /// Test hook: disable the express path so every transfer runs the
-  /// scheduled acquire/serialize/release protocol. Timing is identical
-  /// either way (asserted by tests/net_fastpath_test.cpp); the knob only
-  /// exists so that equivalence is checkable.
-  void set_express_enabled(bool enabled) { express_enabled_ = enabled; }
-  [[nodiscard]] bool express_enabled() const { return express_enabled_; }
   [[nodiscard]] std::uint64_t reconfigurations() const { return reconfigs_; }
   /// Transfers whose routed path crossed a NIC or fibre hop (i.e. left a
   /// chassis or touched its NIC) — zero on flat single-chassis fabrics.
@@ -115,9 +115,6 @@ class Network : public Transport {
   /// Serialisation time spent on kFibre links specifically.
   [[nodiscard]] SimDuration fibre_busy_total() const { return fibre_busy_; }
   [[nodiscard]] SimDuration link_busy_total() const { return busy_total_; }
-  [[nodiscard]] SimDuration link_busy(LinkId link) const {
-    return links_.at(static_cast<std::size_t>(link))->busy;
-  }
 
   // -- Telemetry ----------------------------------------------------------
   /// Usage-sampler bucket width; applies to buckets opened from now on.
@@ -137,42 +134,34 @@ class Network : public Transport {
 
  private:
   struct LinkState {
-    explicit LinkState(sim::Scheduler& sched) : server(sched, 1) {}
-    sim::Semaphore server;            ///< FIFO wire occupation.
-    /// Wire time reserved by an express transfer (which books the wire by
-    /// timestamp, never by the semaphore). A scheduled transfer that finds
-    /// this in the future acquires the permit first, then waits it out.
-    SimTime express_busy_until = SimTime::zero();
-    SimDuration busy = SimDuration::zero();
+    /// Ends of the booked serialisations not yet over, oldest first.
+    InlineFifo<SimTime, 4> booked;
     /// Optical ingress ports: the egress link the circuit currently
     /// drives; kInvalidLink until first configured.
     LinkId circuit = kInvalidLink;
 
-    // Usage sampler. `pending` counts scheduled transfers that arrived at
-    // this link and have not finished serialising (the one in service plus
-    // the queue); an active express reservation contributes one more.
     struct Bucket {
       std::int64_t busy_ns = 0;
       std::uint64_t transfers = 0;
       int max_queue_depth = 0;
+      bool exported = false;  ///< Already emitted as tracer counters.
     };
-    int pending = 0;
-    /// Buckets in bucket-start order: simulated time never runs backwards,
-    /// so appending keeps them sorted and allocation amortised (a std::map
-    /// here would allocate a node per bucket on the hot path).
+    /// Usage-sampler buckets in bucket-start order. A queued transfer books
+    /// busy time into the bucket where it will start, which can open a
+    /// bucket ahead of a later arrival's, so a new bucket is inserted in
+    /// order; a flat vector keeps the hot path allocation-free once warm
+    /// (a std::map here would allocate a node per bucket).
     std::vector<std::pair<std::int64_t, Bucket>> buckets;
-    std::int64_t exported_hwm = -1;  ///< Last bucket start already emitted.
   };
 
   [[nodiscard]] LinkState::Bucket& bucket_at(LinkState& state, SimTime at);
 
   sim::Scheduler& sched_;
   const Topology& topo_;
-  std::vector<std::unique_ptr<LinkState>> links_;
+  std::vector<LinkState> links_;  ///< Indexed by LinkId; sized once.
   std::uint64_t transfers_ = 0;
   std::uint64_t contended_ = 0;
   std::uint64_t express_ = 0;
-  bool express_enabled_ = true;
   std::uint64_t reconfigs_ = 0;
   std::uint64_t nic_transfers_ = 0;
   SimDuration fibre_busy_ = SimDuration::zero();

@@ -4,8 +4,8 @@
 // collectives asked the Topology for an analytic transfer time, wl replay
 // priced inter-lane copies with the same closed form, and the CDI
 // host-side hop was a flat PCIe-stub constant. None of them saw FIFO link
-// contention, OCS circuit state, or the express fast path — so fabric
-// congestion never fed the paper's Eq 2-3 penalty bounds.
+// contention or OCS circuit state — so fabric congestion never fed the
+// paper's Eq 2-3 penalty bounds.
 //
 // `Transport` is the abstract seam those paths now share. A transport
 // owns a routed view of the machine (its `Topology`), executes transfers

@@ -1,23 +1,17 @@
 // Synchronisation primitives for simulated processes: one-shot events,
-// FIFO counting semaphores, wait groups, and unbounded channels.
+// wait groups, and reusable barriers.
 //
 // All primitives resume waiters *through the scheduler* (at the current
 // simulated instant) rather than inline, which keeps resumption order
-// deterministic and prevents unbounded recursion through chains of wakeups.
-//
-// Permits and items are handed to waiters directly (transfer semantics):
-// a release() or put() that finds a waiter assigns the permit/item to that
-// waiter before scheduling it, so a process that arrives in between cannot
-// steal it. This guarantees strict FIFO service order — the property that
-// makes net::Network's FIFO link queues exact.
+// deterministic (waiters wake in arrival order) and prevents unbounded
+// recursion through chains of wakeups. Occupancy of a FIFO resource (a
+// device engine, a fabric link) is not a primitive here: its owner books
+// it in closed form (gpu::Engine::book, net::Network::transfer).
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <optional>
-#include <utility>
 
 #include "sim/task.hpp"
 
@@ -94,68 +88,6 @@ class Event {
   return std::allocate_shared<Event>(ArenaAllocator<Event>{}, sched);
 }
 
-/// FIFO counting semaphore with permit-transfer wakeups. Like Event, the
-/// waiter queue is intrusive: each AcquireAwaiter already lives in its
-/// coroutine's frame, so waiting allocates nothing.
-class Semaphore {
- public:
-  Semaphore(Scheduler& sched, std::int64_t initial)
-      : sched_(sched), count_(initial) {
-    RSD_ASSERT(initial >= 0);
-  }
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  [[nodiscard]] std::int64_t available() const { return count_; }
-  [[nodiscard]] std::size_t waiting() const { return waiting_; }
-
-  struct [[nodiscard]] AcquireAwaiter {
-    Semaphore& sem;
-    std::coroutine_handle<> handle;
-    AcquireAwaiter* next = nullptr;
-
-    [[nodiscard]] bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> h) {
-      if (sem.head_ == nullptr && sem.count_ > 0) {
-        --sem.count_;
-        return false;  // permit taken, continue without suspending
-      }
-      handle = h;
-      next = nullptr;
-      if (sem.tail_ != nullptr) {
-        sem.tail_->next = this;
-      } else {
-        sem.head_ = this;
-      }
-      sem.tail_ = this;
-      ++sem.waiting_;
-      return true;
-    }
-    void await_resume() const noexcept {}
-  };
-
-  [[nodiscard]] AcquireAwaiter acquire() { return AcquireAwaiter{*this, {}}; }
-
-  void release() {
-    if (head_ != nullptr) {
-      AcquireAwaiter* w = head_;
-      head_ = w->next;
-      if (head_ == nullptr) tail_ = nullptr;
-      --waiting_;
-      sched_.schedule(w->handle, SimDuration::zero());  // permit transferred
-    } else {
-      ++count_;
-    }
-  }
-
- private:
-  Scheduler& sched_;
-  std::int64_t count_;
-  AcquireAwaiter* head_ = nullptr;
-  AcquireAwaiter* tail_ = nullptr;
-  std::size_t waiting_ = 0;
-};
-
 /// Counts outstanding work items; `wait()` resumes when the count reaches 0.
 /// One-shot: once the count has dropped to zero the group is finished.
 class WaitGroup {
@@ -217,59 +149,6 @@ class Barrier {
   int arrived_ = 0;
   std::int64_t generation_ = 0;
   std::shared_ptr<Event> gate_ = make_event(sched_);
-};
-
-/// Unbounded FIFO channel. put() never blocks; get() suspends while empty.
-/// Items are handed to waiting getters in FIFO order.
-template <typename T>
-class Channel {
- public:
-  explicit Channel(Scheduler& sched) : sched_(sched) {}
-  Channel(const Channel&) = delete;
-  Channel& operator=(const Channel&) = delete;
-
-  struct [[nodiscard]] GetAwaiter {
-    Channel& ch;
-    std::coroutine_handle<> handle;
-    std::optional<T> slot;
-
-    [[nodiscard]] bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> h) {
-      if (ch.waiters_.empty() && !ch.items_.empty()) {
-        slot = std::move(ch.items_.front());
-        ch.items_.pop_front();
-        return false;
-      }
-      handle = h;
-      ch.waiters_.push_back(this);
-      return true;
-    }
-    [[nodiscard]] T await_resume() {
-      RSD_ASSERT(slot.has_value());
-      return std::move(*slot);
-    }
-  };
-
-  void put(T value) {
-    if (!waiters_.empty()) {
-      GetAwaiter* w = waiters_.front();
-      waiters_.pop_front();
-      w->slot = std::move(value);
-      sched_.schedule(w->handle, SimDuration::zero());
-    } else {
-      items_.push_back(std::move(value));
-    }
-  }
-
-  [[nodiscard]] GetAwaiter get() { return GetAwaiter{*this, {}, std::nullopt}; }
-
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-
- private:
-  Scheduler& sched_;
-  std::deque<T> items_;
-  std::deque<GetAwaiter*> waiters_;
 };
 
 }  // namespace rsd::sim

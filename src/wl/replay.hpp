@@ -50,9 +50,9 @@ struct NodeParams {
   /// — per-chassis NICs, inter-chassis fibre, a CDI host endpoint — and
   /// bind every lane's Context onto it, so memcpy payloads, injected
   /// slack, and cross-chassis collective chunks all route through the
-  /// event-driven `net::Network` (FIFO contention, OCS circuits, express
-  /// path). 0 keeps the flat chassis, which emits no extra nodes, and
-  /// replay timing is byte-identical to before the transport seam.
+  /// event-driven `net::Network` (FIFO contention, OCS circuits). 0 keeps
+  /// the flat chassis, which emits no extra nodes, and replay timing is
+  /// byte-identical to before the transport seam.
   int gpus_per_chassis = 0;
 };
 

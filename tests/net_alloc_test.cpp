@@ -1,6 +1,6 @@
 // Steady-state transfers touch no general-heap memory: frames come from
-// the FrameArena, routes from the dense tables, link frames and waiters
-// are intrusive, and the usage sampler writes into pre-opened buckets.
+// the FrameArena, routes from the dense tables, link bookings sit in each
+// link's inline FIFO, and the usage sampler writes into pre-opened buckets.
 // This binary links the counting operator new/delete (rsd_alloc_counter),
 // so it must not share a process with tests that expect the default
 // allocator.
@@ -20,9 +20,9 @@ namespace rsd::net {
 namespace {
 
 /// One round of transfer churn: every device sends a chunk to its ring
-/// successor (single hop on a ring fabric — the express path) and a
-/// second one two ranks over (multi-hop — the scheduled path), with the
-/// same-link overlap forcing the semaphore queue to engage.
+/// successor (single hop on a ring fabric, onto a free link) and a second
+/// one two ranks over (multi-hop), with the same-link overlap making later
+/// hops book behind earlier ones.
 sim::Task<> churn(Network& net, int rounds) {
   const int gpus = net.topology().device_count();
   for (int r = 0; r < rounds; ++r) {
@@ -42,8 +42,8 @@ TEST(NetworkAlloc, SteadyStateTransferPathIsAllocationFree) {
   sim::Scheduler sched;
   Network network{sched, topo};
   // One usage bucket per link for the whole run: bucket management is
-  // warm after the first transfer, so the measured window exercises the
-  // express booking, semaphore waits, and sampler updates alone.
+  // warm after the first transfer, so the measured window exercises link
+  // bookings, queued starts, and sampler updates alone.
   network.set_usage_bucket(duration::seconds(10.0));
 
   // Warm-up then measure inside one root task: the first churn
@@ -68,7 +68,7 @@ TEST(NetworkAlloc, MultiChassisNicHopsStayAllocationFree) {
   // Same discipline on a multi-chassis graph: the ring-successor chunks
   // at a chassis boundary and the two-over chunks cross NIC + fibre
   // links, so the measured window proves the cross-chassis path — NIC
-  // frames, fibre semaphores, per-link busy booking — recycles storage
+  // and fibre hops, their bookings and busy time — recycles storage
   // exactly like the intra-chassis one.
   FabricParams params;
   params.gpus = 8;

@@ -1,14 +1,15 @@
 // Network fast path: the dense route tables must be indistinguishable
-// from a fresh per-pair Dijkstra on randomized topologies, the express
-// single-hop transfer path must be timing-identical to the scheduled
-// acquire/serialize/release protocol on every fabric, and the topology's
-// cached aggregates must survive mutation.
+// from a fresh per-pair Dijkstra on randomized topologies and survive
+// mutation, and the one link-booking rule must keep FIFO service, exact
+// serialisation, the recorded timing of a bursty workload on every fabric,
+// its tie rule, and the usage sampler's bucket order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -211,7 +212,7 @@ TEST(RouteTable, InvalidatedByTopologyMutation) {
   EXPECT_EQ(topo.route(a, b).latency, microseconds(1.0));
 }
 
-// -- Express-vs-scheduled timing parity -----------------------------------
+// -- Link booking ---------------------------------------------------------
 
 struct TransferRecord {
   int src = 0;
@@ -234,14 +235,12 @@ struct ParityRun {
 };
 
 /// A deliberately bursty workload: ring-neighbor chunks (single hop on
-/// ring/fullmesh — express candidates), long-haul transfers (multi-hop on
-/// switched fabrics), and same-link pile-ups that force queueing. The
-/// whole point: with the express path disabled the observable timing must
-/// not move by a nanosecond.
-ParityRun run_parity_workload(const Topology& topo, bool express_enabled) {
+/// ring/fullmesh — express transfers while their link is free), long-haul
+/// transfers (multi-hop on switched fabrics), and same-link pile-ups that
+/// force queueing.
+ParityRun run_parity_workload(const Topology& topo) {
   sim::Scheduler sched;
   Network network{sched, topo};
-  network.set_express_enabled(express_enabled);
   ParityRun run;
 
   struct Job {
@@ -272,8 +271,8 @@ ParityRun run_parity_workload(const Topology& topo, bool express_enabled) {
   sched.run();
   EXPECT_EQ(sched.unfinished_count(), 0u);
 
-  // Same-instant completions may resume in a different internal order;
-  // the multiset of (finish, src, dst) is the timing fingerprint.
+  // Same-instant completions resume in scheduler order; the multiset of
+  // (finish, src, dst) is the timing fingerprint.
   std::sort(run.records.begin(), run.records.end());
   run.final_ns = sched.now().ns();
   run.transfers = network.transfers();
@@ -283,26 +282,185 @@ ParityRun run_parity_workload(const Topology& topo, bool express_enabled) {
   return run;
 }
 
-TEST(ExpressPath, TimingIdenticalToScheduledPathOnEveryFabric) {
-  for (const FabricKind kind : all_fabric_kinds()) {
+TEST(LinkBooking, ParityWorkloadKeepsRecordedTiming) {
+  // Recorded from the network that priced a free single hop by timestamp
+  // and every other hop through a one-permit FIFO queue; the booking rule
+  // must reproduce both, counters included, on every fabric.
+  struct Recorded {
+    FabricKind kind;
+    std::int64_t final_ns;
+    std::uint64_t contended;
+    std::uint64_t express;
+    std::int64_t busy_ns;
+    std::vector<TransferRecord> records;
+  };
+  const std::vector<Recorded> recorded = {
+      {FabricKind::kRing, 162245, 9, 8, 429658,
+        {{0, 1, 21531}, {1, 2, 22031}, {2, 3, 22531}, {3, 4, 23031}, {4, 5, 23531},
+          {5, 6, 24031}, {6, 7, 24531}, {7, 0, 25031}, {3, 7, 30528}, {4, 0, 31528},
+          {0, 4, 47059}, {1, 5, 47559}, {2, 6, 48059}, {0, 1, 65475}, {0, 1, 104537},
+          {0, 1, 143599}, {5, 1, 158245}, {6, 2, 160245}, {7, 3, 162245}}},
+      {FabricKind::kFullMesh, 138717, 3, 16, 312490,
+        {{0, 4, 6882}, {1, 5, 7882}, {2, 6, 8882}, {3, 7, 9882}, {4, 0, 10882}, {5, 1, 11882},
+          {6, 2, 12882}, {7, 3, 13882}, {0, 1, 21531}, {1, 2, 22031}, {2, 3, 22531},
+          {3, 4, 23031}, {4, 5, 23531}, {5, 6, 24031}, {6, 7, 24531}, {7, 0, 25031},
+          {0, 1, 60593}, {0, 1, 99655}, {0, 1, 138717}}},
+      {FabricKind::kElectricalSwitch, 184781, 11, 0, 624980,
+        {{0, 1, 43182}, {1, 2, 43682}, {2, 3, 44182}, {3, 4, 44682}, {4, 5, 45182},
+          {5, 6, 45682}, {6, 7, 46182}, {7, 0, 46682}, {5, 1, 48064}, {6, 2, 48564},
+          {7, 3, 49064}, {0, 4, 49564}, {1, 5, 50064}, {2, 6, 50564}, {3, 7, 51064},
+          {4, 0, 51564}, {0, 1, 106657}, {0, 1, 145719}, {0, 1, 184781}}},
+      {FabricKind::kOpticalCircuit, 284661, 11, 0, 624980,
+        {{0, 1, 143062}, {1, 2, 143562}, {2, 3, 144062}, {3, 4, 144562}, {4, 5, 145062},
+          {5, 6, 145562}, {6, 7, 146062}, {7, 0, 146562}, {5, 1, 147944}, {6, 2, 148444},
+          {7, 3, 148944}, {0, 4, 149444}, {1, 5, 149944}, {2, 6, 150444}, {3, 7, 150944},
+          {4, 0, 151444}, {0, 1, 206537}, {0, 1, 245599}, {0, 1, 284661}}},
+  };
+  ASSERT_EQ(recorded.size(), all_fabric_kinds().size());
+  for (const Recorded& want : recorded) {
     FabricParams params;
-    params.kind = kind;
+    params.kind = want.kind;
     params.gpus = 8;
-    const Topology topo = build_fabric(params);
-    const ParityRun on = run_parity_workload(topo, /*express_enabled=*/true);
-    const ParityRun off = run_parity_workload(topo, /*express_enabled=*/false);
+    const ParityRun got = run_parity_workload(build_fabric(params));
+    EXPECT_EQ(got.records, want.records) << to_string(want.kind);
+    EXPECT_EQ(got.final_ns, want.final_ns) << to_string(want.kind);
+    EXPECT_EQ(got.transfers, 19u) << to_string(want.kind);
+    EXPECT_EQ(got.contended, want.contended) << to_string(want.kind);
+    EXPECT_EQ(got.express, want.express) << to_string(want.kind);
+    EXPECT_EQ(got.busy_ns, want.busy_ns) << to_string(want.kind);
+  }
+}
 
-    EXPECT_EQ(on.records, off.records) << to_string(kind);
-    EXPECT_EQ(on.final_ns, off.final_ns) << to_string(kind);
-    EXPECT_EQ(on.transfers, off.transfers) << to_string(kind);
-    EXPECT_EQ(on.contended, off.contended) << to_string(kind);
-    EXPECT_EQ(on.busy_ns, off.busy_ns) << to_string(kind);
-    EXPECT_EQ(off.express, 0u) << to_string(kind);
-    if (kind == FabricKind::kRing || kind == FabricKind::kFullMesh) {
-      // Ring-neighbor traffic is single-hop on these fabrics, so the
-      // express path must actually engage when enabled.
-      EXPECT_GT(on.express, 0u) << to_string(kind);
-    }
+TEST(LinkBooking, SameInstantArrivalsServeInBookingOrder) {
+  // Four transfers spawned at t = 0 on an 8-GPU electrical switch. C and D
+  // book the GPU 1 and GPU 2 uplinks first, so B and A queue behind them
+  // and reach the downlink to GPU 6 at the same instant. B booked its
+  // uplink before A did (it was spawned first), so B serves first.
+  FabricParams params;
+  params.kind = FabricKind::kElectricalSwitch;
+  params.gpus = 8;
+  const Topology topo = build_fabric(params);
+  sim::Scheduler sched;
+  Network network{sched, topo};
+  struct Job {
+    char name;
+    int src;
+    int dst;
+    Bytes bytes;
+  };
+  std::vector<std::pair<char, std::int64_t>> landed;
+  for (const Job job : {Job{'C', 1, 5, 1 * kMiB}, Job{'D', 2, 7, 1 * kMiB},
+                        Job{'B', 2, 6, 4 * kKiB}, Job{'A', 1, 6, 4 * kKiB}}) {
+    sched.spawn([](sim::Scheduler& s, Network& net, Job j,
+                   std::vector<std::pair<char, std::int64_t>>* out) -> sim::Task<> {
+      co_await net.transfer_between_devices(j.src, j.dst, j.bytes);
+      out->emplace_back(j.name, s.now().ns());
+    }(sched, network, job, &landed));
+  }
+  sched.run();
+  ASSERT_EQ(sched.unfinished_count(), 0u);
+  std::sort(landed.begin(), landed.end());
+  EXPECT_EQ(landed, (std::vector<std::pair<char, std::int64_t>>{
+                        {'A', 9'059}, {'B', 9'040}, {'C', 13'884}, {'D', 13'884}}));
+}
+
+/// `n` transfers over one ring link, all spawned at t = 0 in id order.
+class LinkFifo : public testing::TestWithParam<int> {};
+
+TEST_P(LinkFifo, FifoAndExactSerialisation) {
+  const int n = GetParam();
+  FabricParams params;
+  params.gpus = 8;
+  const Topology topo = build_fabric(params);
+  const Path& path = topo.route(topo.device(0), topo.device(1));
+  ASSERT_EQ(path.links.size(), 1u);
+  const Bytes bytes = 1 * kMiB;
+  const SimDuration latency = topo.link(path.links[0]).latency;
+  const SimDuration serialize = topo.transfer_time(topo.device(0), topo.device(1), bytes) - latency;
+  ASSERT_GT(serialize.ns(), 0);
+
+  sim::Scheduler sched;
+  Network network{sched, topo};
+  std::vector<int> order;
+  std::vector<std::int64_t> finish_ns;
+  for (int i = 0; i < n; ++i) {
+    sched.spawn([](sim::Scheduler& s, Network& net, Bytes b, int id, std::vector<int>* ord,
+                   std::vector<std::int64_t>* fin) -> sim::Task<> {
+      co_await net.transfer_between_devices(0, 1, b);
+      ord->push_back(id);
+      fin->push_back(s.now().ns());
+    }(sched, network, bytes, i, &order, &finish_ns));
+  }
+  sched.run();
+
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    EXPECT_EQ(order[k], i);
+    // Starts exactly at the previous booked end, i * serialise; finishes
+    // one serialisation and one link latency later.
+    EXPECT_EQ(finish_ns[k], (serialize * std::int64_t{i + 1} + latency).ns()) << "transfer " << i;
+  }
+  EXPECT_EQ(network.express_transfers(), 1u);
+  EXPECT_EQ(network.contended_transfers(), static_cast<std::uint64_t>(n - 1));
+  EXPECT_EQ(network.link_busy_total().ns(), (serialize * std::int64_t{n}).ns());
+  EXPECT_EQ(sched.unfinished_count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Counts, LinkFifo, testing::Values(1, 2, 3, 8, 32, 100));
+
+TEST(LinkUsage, QueuedTransferBooksBusyIntoItsStartBucket) {
+  // 10 us buckets on the ring link 0 -> 1 (200 GiB/s, 2 us latency): 5 MiB
+  // at 0 serialises for 24,414 ns; 64 KiB at 1 us queues behind it and
+  // starts at 24,414 ns, opening the 20 us bucket; 64 KiB at 11 us arrives
+  // behind both, so its arrival opens the 10 us bucket *before* the 20 us
+  // one, and it starts at 24,719 ns. A last 64 KiB arrives exactly as that
+  // booking ends (25,024 ns): the tie rule makes it find the link free.
+  FabricParams params;
+  params.gpus = 8;
+  const Topology topo = build_fabric(params);
+  const LinkId link = topo.route(topo.device(0), topo.device(1)).links[0];
+  sim::Scheduler sched;
+  Network network{sched, topo};
+  network.set_usage_bucket(microseconds(10.0));
+  struct Job {
+    Bytes bytes;
+    SimDuration start;
+  };
+  for (const Job job : {Job{5 * kMiB, SimDuration::zero()}, Job{64 * kKiB, microseconds(1.0)},
+                        Job{64 * kKiB, microseconds(11.0)}, Job{64 * kKiB, nanoseconds(25'024)}}) {
+    sched.spawn([](Network& net, Job j) -> sim::Task<> {
+      co_await sim::delay(j.start);
+      co_await net.transfer_between_devices(0, 1, j.bytes);
+    }(network, job));
+  }
+  sched.run();
+  ASSERT_EQ(sched.unfinished_count(), 0u);
+  EXPECT_EQ(sched.now().ns(), 25'024 + 305 + 2'000);
+  EXPECT_EQ(network.express_transfers(), 2u);
+  EXPECT_EQ(network.contended_transfers(), 2u);
+
+  const std::vector<LinkUsageSample> usage = network.link_usage();
+  for (std::size_t i = 1; i < usage.size(); ++i) {
+    EXPECT_TRUE(usage[i - 1].link < usage[i].link ||
+                (usage[i - 1].link == usage[i].link &&
+                 usage[i - 1].bucket_start_ns < usage[i].bucket_start_ns))
+        << "sample " << i;
+  }
+  ASSERT_EQ(usage.size(), 3u);
+  struct Want {
+    std::int64_t start_ns;
+    std::int64_t busy_ns;
+    std::uint64_t transfers;
+    int max_queue_depth;
+  };
+  const Want want[] = {{0, 24'414, 1, 2}, {10'000, 0, 0, 3}, {20'000, 3 * 305, 3, 1}};
+  for (std::size_t i = 0; i < usage.size(); ++i) {
+    EXPECT_EQ(usage[i].link, link);
+    EXPECT_EQ(usage[i].bucket_start_ns, want[i].start_ns) << "bucket " << i;
+    EXPECT_EQ(usage[i].busy_ns, want[i].busy_ns) << "bucket " << i;
+    EXPECT_EQ(usage[i].transfers, want[i].transfers) << "bucket " << i;
+    EXPECT_EQ(usage[i].max_queue_depth, want[i].max_queue_depth) << "bucket " << i;
   }
 }
 

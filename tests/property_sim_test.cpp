@@ -2,135 +2,13 @@
 // hold across a sweep of configurations, not just hand-picked examples.
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
 #include "sim/scheduler.hpp"
-#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace rsd::sim {
 namespace {
-
-using namespace rsd::literals;
-
-// ---------------------------------------------------------------------
-// Property: N processes serialised by a unary semaphore always finish in
-// exactly N * hold_time, in FIFO order, for any N.
-class SemaphoreFairness : public testing::TestWithParam<int> {};
-
-TEST_P(SemaphoreFairness, FifoAndExactSerialisation) {
-  const int n = GetParam();
-  Scheduler sched;
-  Semaphore sem{sched, 1};
-  std::vector<int> order;
-  std::vector<std::int64_t> entry_ns;
-
-  auto proc = [](Scheduler& s, Semaphore& m, std::vector<int>& ord,
-                 std::vector<std::int64_t>& t, int id) -> Task<> {
-    co_await m.acquire();
-    ord.push_back(id);
-    t.push_back(s.now().ns());
-    co_await delay(7_us);
-    m.release();
-  };
-  for (int i = 0; i < n; ++i) sched.spawn(proc(sched, sem, order, entry_ns, i));
-  sched.run();
-
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-    EXPECT_EQ(entry_ns[static_cast<std::size_t>(i)], i * 7'000);
-  }
-  EXPECT_EQ(sched.now().ns(), n * 7'000);
-  EXPECT_EQ(sched.unfinished_count(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Counts, SemaphoreFairness, testing::Values(1, 2, 3, 8, 32, 100));
-
-// ---------------------------------------------------------------------
-// Property: with a counting semaphore of k permits, peak concurrency is
-// exactly min(k, producers) and total time is ceil(n/k) * hold.
-struct ConcurrencyParam {
-  int permits;
-  int procs;
-};
-
-class SemaphoreConcurrency : public testing::TestWithParam<ConcurrencyParam> {};
-
-TEST_P(SemaphoreConcurrency, PeakAndMakespan) {
-  const auto [permits, procs] = GetParam();
-  Scheduler sched;
-  Semaphore sem{sched, permits};
-  int active = 0;
-  int peak = 0;
-
-  auto proc = [](Semaphore& m, int& act, int& pk) -> Task<> {
-    co_await m.acquire();
-    ++act;
-    pk = std::max(pk, act);
-    co_await delay(10_us);
-    --act;
-    m.release();
-  };
-  for (int i = 0; i < procs; ++i) sched.spawn(proc(sem, active, peak));
-  sched.run();
-
-  EXPECT_EQ(peak, std::min(permits, procs));
-  const int waves = (procs + permits - 1) / permits;
-  EXPECT_EQ(sched.now().ns(), waves * 10'000);
-}
-
-INSTANTIATE_TEST_SUITE_P(Grid, SemaphoreConcurrency,
-                         testing::Values(ConcurrencyParam{1, 5}, ConcurrencyParam{2, 5},
-                                         ConcurrencyParam{3, 9}, ConcurrencyParam{4, 4},
-                                         ConcurrencyParam{8, 3}, ConcurrencyParam{16, 64}));
-
-// ---------------------------------------------------------------------
-// Property: channel preserves order and conserves items for any
-// producer/consumer split.
-struct ChannelParam {
-  int producers;
-  int items_each;
-};
-
-class ChannelConservation : public testing::TestWithParam<ChannelParam> {};
-
-TEST_P(ChannelConservation, AllItemsDeliveredOnce) {
-  const auto [producers, items_each] = GetParam();
-  Scheduler sched;
-  Channel<int> ch{sched};
-  std::vector<int> received;
-  const int total = producers * items_each;
-
-  auto producer = [](Channel<int>& c, int base, int count) -> Task<> {
-    for (int i = 0; i < count; ++i) {
-      co_await delay(SimDuration{(base * 13 + i * 7) % 50 + 1});
-      c.put(base * 1000 + i);
-    }
-  };
-  auto consumer = [](Channel<int>& c, std::vector<int>& out, int count) -> Task<> {
-    for (int i = 0; i < count; ++i) out.push_back(co_await c.get());
-  };
-  for (int p = 0; p < producers; ++p) sched.spawn(producer(ch, p, items_each));
-  sched.spawn(consumer(ch, received, total));
-  sched.run();
-
-  ASSERT_EQ(received.size(), static_cast<std::size_t>(total));
-  std::sort(received.begin(), received.end());
-  EXPECT_EQ(std::adjacent_find(received.begin(), received.end()), received.end())
-      << "duplicate delivery";
-  // Per-producer order preserved: values with the same base are increasing
-  // in the original (pre-sort) sequence — verified via conservation + FIFO
-  // channel semantics (covered by sim_sync_test); here we assert totals.
-  EXPECT_TRUE(ch.empty());
-  EXPECT_EQ(sched.unfinished_count(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Splits, ChannelConservation,
-                         testing::Values(ChannelParam{1, 1}, ChannelParam{1, 50},
-                                         ChannelParam{4, 10}, ChannelParam{10, 4},
-                                         ChannelParam{16, 16}));
 
 // ---------------------------------------------------------------------
 // Property: the scheduler's clock is monotone through arbitrary workloads,
