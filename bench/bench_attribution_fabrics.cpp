@@ -94,7 +94,8 @@ RSD_EXPERIMENT(attribution_fabrics, "attribution_fabrics", "extension",
 
   // Small response surface bracketing the replay's shape (lane count in
   // thread_counts, the slack value in slacks); shared through the
-  // invocation-wide cache so repeated runs hit warm memory or disk.
+  // invocation-wide cache, so multichassis_contention's identical grid
+  // hits warm memory.
   const proxy::ProxyRunner runner;
   proxy::SweepConfig sweep_cfg;
   sweep_cfg.matrix_sizes = {1 << 9, 1 << 11, 1 << 13};

@@ -24,8 +24,7 @@ RSD_EXPERIMENT(fig3_slack_sweep, "fig3_slack_sweep", "figure",
   SweepConfig cfg;  // defaults: sizes 2^9..2^15, threads 1/2/4/8, 0..10ms
   // Cells fan out across the context pool (--threads / RSD_THREADS sets
   // the width); the surface is memoized in the shared SweepCache, so the
-  // other surface-consuming experiments in this invocation reuse it
-  // without touching the disk cache again.
+  // other surface-consuming experiments in this invocation reuse it.
   const auto points = ctx.sweep_cache().get_or_run(runner, cfg, ctx.pool());
 
   CsvWriter csv;

@@ -21,7 +21,6 @@
 #include "interconnect/link.hpp"
 #include "model/slack_model.hpp"
 #include "proxy/proxy.hpp"
-#include "proxy/sweep_cache.hpp"
 #include "trace/import.hpp"
 
 namespace {
@@ -78,7 +77,7 @@ int run(int argc, char** argv) {
   std::cout << "building the proxy response surface (Figure 3 sweep)...\n";
   const proxy::ProxyRunner runner;
   proxy::SweepConfig sweep_cfg;
-  const auto sweep = proxy::SweepCache::global().get_or_run(runner, sweep_cfg);
+  const auto sweep = proxy::run_slack_sweep(runner, sweep_cfg);
   const model::SlackModel slack_model{model::ResponseSurface::from_sweep(sweep)};
 
   Table table{"Slack / call", "Fibre reach [km]", "SP lower", "SP upper"};

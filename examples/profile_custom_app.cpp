@@ -19,7 +19,6 @@
 #include "interconnect/link.hpp"
 #include "model/slack_model.hpp"
 #include "proxy/proxy.hpp"
-#include "proxy/sweep_cache.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/sync.hpp"
 #include "trace/trace.hpp"
@@ -68,12 +67,12 @@ int main() {
             << app_trace.memcpy_count() << " transfers over "
             << format_duration(app_trace.span()) << "\n\n";
 
-  // Step 3: build the proxy response surface (memoized across processes;
-  // a warm cache loads it in milliseconds).
+  // Step 3: build the proxy response surface (the Figure 3 sweep over the
+  // solver's thread counts).
   const proxy::ProxyRunner runner;
   proxy::SweepConfig sweep_cfg;
   sweep_cfg.thread_counts = {1, 2};
-  const auto sweep = proxy::SweepCache::global().get_or_run(runner, sweep_cfg);
+  const auto sweep = proxy::run_slack_sweep(runner, sweep_cfg);
   const model::SlackModel slack_model{model::ResponseSurface::from_sweep(sweep)};
 
   // Step 4: predict the penalty at candidate deployment distances.

@@ -18,17 +18,9 @@ bool looks_like_repo_root(const fs::path& dir) {
          fs::is_directory(dir / "bench", ec);
 }
 
-fs::path& results_dir_override() {
-  static fs::path override;
-  return override;
-}
-
 }  // namespace
 
-void set_results_dir(const fs::path& dir) { results_dir_override() = dir; }
-
 fs::path results_dir() {
-  if (!results_dir_override().empty()) return results_dir_override();
   if (const char* env = std::getenv("RSD_RESULTS_DIR")) {
     if (*env != '\0') return fs::path{env};
   }

@@ -3,12 +3,13 @@
 // root produced two diverging result trees. `results_dir()` resolves one
 // canonical location instead:
 //
-//   1. a programmatic override (`set_results_dir`, e.g. from
-//      `rsd_bench --results-dir`), when set;
-//   2. `RSD_RESULTS_DIR` (env), when set and non-empty;
-//   3. `<repo root>/bench_results`, found by walking up from the CWD to
+//   1. `RSD_RESULTS_DIR` (env), when set and non-empty;
+//   2. `<repo root>/bench_results`, found by walking up from the CWD to
 //      the first directory that looks like the repo checkout;
-//   4. `<cwd>/bench_results` as a last resort.
+//   3. `<cwd>/bench_results` as a last resort.
+//
+// `rsd_bench --results-dir` bypasses this through
+// `ExperimentContext::Options::results_dir`.
 #pragma once
 
 #include <filesystem>
@@ -17,9 +18,5 @@ namespace rsd {
 
 /// The directory bench CSVs / metadata are written to (not created here).
 [[nodiscard]] std::filesystem::path results_dir();
-
-/// Process-wide override for `results_dir()`, taking precedence over the
-/// environment. An empty path clears the override.
-void set_results_dir(const std::filesystem::path& dir);
 
 }  // namespace rsd

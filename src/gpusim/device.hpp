@@ -85,6 +85,8 @@ struct DeviceParams {
   double busy_watts = 400.0;
   double idle_watts = 55.0;
   double powered_down_watts = 8.0;
+
+  bool operator==(const DeviceParams&) const = default;
 };
 
 /// Duration of an n x n x n single-precision matmul kernel under these

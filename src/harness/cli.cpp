@@ -11,7 +11,6 @@
 
 #include "core/csv.hpp"
 #include "core/error.hpp"
-#include "core/paths.hpp"
 #include "interconnect/fabric.hpp"
 #include "harness/context.hpp"
 #include "harness/registry.hpp"
@@ -224,9 +223,6 @@ int run_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& 
     return 0;
   }
 
-  // Route `results_dir()` too, so library-internal consumers (e.g. a
-  // default-constructed SweepCache) agree with the context.
-  if (!options.results_dir.empty()) rsd::set_results_dir(options.results_dir);
   if (options.trace_dir.empty()) {
     if (const char* env = std::getenv("RSD_TRACE"); env != nullptr && env[0] != '\0') {
       options.trace_dir = env;

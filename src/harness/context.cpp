@@ -42,8 +42,7 @@ ExperimentContext::ExperimentContext(Options options)
       gpus_per_chassis_(resolve_gpus_per_chassis(options)),
       seed_(options.seed),
       out_(options.out != nullptr ? options.out : &std::cout),
-      pool_(options.threads >= 1 ? options.threads : exec::default_thread_count()),
-      sweep_cache_(results_dir_ / ".cache") {
+      pool_(options.threads >= 1 ? options.threads : exec::default_thread_count()) {
   // Enabled before any experiment runs, so every gpu::Device constructed
   // under this invocation acquires a simulated-timeline id.
   if (!trace_dir_.empty()) obs::Tracer::instance().enable();

@@ -1,8 +1,8 @@
 // Shared per-invocation state. Before the harness, each bench binary
-// built its own thread pool and re-loaded the response-surface cache from
-// disk; one `ExperimentContext` now outlives every experiment in an
-// `rsd_bench` invocation, so the Figure-3 surface is computed (or read)
-// once and every later consumer hits warm memory.
+// built its own thread pool and recomputed its response surfaces; one
+// `ExperimentContext` now outlives every experiment in an `rsd_bench`
+// invocation, so each Figure-3 surface is computed once and every later
+// consumer hits warm memory.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +57,8 @@ class ExperimentContext {
   /// The invocation-wide fan-out pool (`--threads` / RSD_THREADS wide).
   [[nodiscard]] exec::Pool& pool() { return pool_; }
 
-  /// Memoized Figure-3 response surfaces, rooted at
-  /// `<results_dir>/.cache`. Shared across experiments, so the surface is
-  /// simulated at most once per invocation.
+  /// Memoized Figure-3 response surfaces, shared across experiments, so
+  /// each surface is simulated at most once per invocation.
   [[nodiscard]] proxy::SweepCache& sweep_cache() { return sweep_cache_; }
 
   [[nodiscard]] const std::filesystem::path& results_dir() const { return results_dir_; }

@@ -16,42 +16,28 @@ namespace rsd::harness {
 
 class ExperimentContext;
 
-class Experiment {
- public:
-  virtual ~Experiment() = default;
-  Experiment() = default;
-  Experiment(const Experiment&) = delete;
-  Experiment& operator=(const Experiment&) = delete;
-
-  /// Stable CLI identifier, e.g. "fig3_slack_sweep".
-  [[nodiscard]] virtual const std::string& name() const = 0;
-
-  /// Selection labels: "figure", "table", "text", "ablation",
-  /// "extension", "micro". An experiment may carry several.
-  [[nodiscard]] virtual const std::vector<std::string>& tags() const = 0;
-
-  /// First line: one-line summary (what `--list` shows). Remaining
-  /// lines: detail printed above the experiment's output.
-  [[nodiscard]] virtual const std::string& description() const = 0;
-
-  virtual void run(ExperimentContext& ctx) const = 0;
-};
-
-/// An `Experiment` backed by a free function — what RSD_EXPERIMENT
+/// An experiment backed by a free function — what RSD_EXPERIMENT
 /// produces. Tags are given as one comma-separated string ("figure" or
 /// "figure,proxy") because commas inside braced-init-lists would split
 /// macro arguments.
-class FunctionExperiment final : public Experiment {
+class Experiment {
  public:
   using RunFn = void (*)(ExperimentContext&);
 
-  FunctionExperiment(std::string name, const std::string& tags_csv, std::string description,
-                     RunFn fn);
+  Experiment(std::string name, const std::string& tags_csv, std::string description, RunFn fn);
 
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] const std::vector<std::string>& tags() const override { return tags_; }
-  [[nodiscard]] const std::string& description() const override { return description_; }
-  void run(ExperimentContext& ctx) const override { fn_(ctx); }
+  /// Stable CLI identifier, e.g. "fig3_slack_sweep".
+  [[nodiscard]] const std::string& name() const { return name_; }
+
+  /// Selection labels: "figure", "table", "text", "ablation",
+  /// "extension", "micro". An experiment may carry several.
+  [[nodiscard]] const std::vector<std::string>& tags() const { return tags_; }
+
+  /// First line: one-line summary (what `--list` shows). Remaining
+  /// lines: detail printed above the experiment's output.
+  [[nodiscard]] const std::string& description() const { return description_; }
+
+  void run(ExperimentContext& ctx) const { fn_(ctx); }
 
  private:
   std::string name_;
@@ -60,12 +46,12 @@ class FunctionExperiment final : public Experiment {
   RunFn fn_;
 };
 
-/// Register a FunctionExperiment into `Registry::global()`. Returns the
+/// Register an Experiment into `Registry::global()`. Returns the
 /// registry's verdict: false means the name was already taken (the
 /// conflict is recorded in `Registry::global().errors()` and reported by
 /// the CLI rather than silently shadowing an experiment).
 bool register_experiment(std::string name, const std::string& tags_csv, std::string description,
-                         FunctionExperiment::RunFn fn);
+                         Experiment::RunFn fn);
 
 }  // namespace rsd::harness
 

@@ -49,16 +49,16 @@ bool glob_match(std::string_view pattern, std::string_view text) {
   return p == pattern.size();
 }
 
-FunctionExperiment::FunctionExperiment(std::string name, const std::string& tags_csv,
-                                       std::string description, RunFn fn)
+Experiment::Experiment(std::string name, const std::string& tags_csv, std::string description,
+                       RunFn fn)
     : name_(std::move(name)),
       tags_(split_csv(tags_csv)),
       description_(std::move(description)),
       fn_(fn) {}
 
 bool register_experiment(std::string name, const std::string& tags_csv, std::string description,
-                         FunctionExperiment::RunFn fn) {
-  return Registry::global().add(std::make_unique<FunctionExperiment>(
+                         Experiment::RunFn fn) {
+  return Registry::global().add(std::make_unique<Experiment>(
       std::move(name), tags_csv, std::move(description), fn));
 }
 

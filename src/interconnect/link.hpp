@@ -36,6 +36,8 @@ struct LinkParams {
   std::string name = "link";
   SimDuration latency = SimDuration::zero();  ///< Fixed per-transfer latency.
   double bandwidth_gib_s = 1.0;               ///< Payload bandwidth, GiB/s.
+
+  bool operator==(const LinkParams&) const = default;
 };
 
 /// A point-to-point data link with fixed latency and finite bandwidth.

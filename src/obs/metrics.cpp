@@ -24,6 +24,18 @@ void atomic_max(std::atomic<std::int64_t>& slot, std::int64_t v) {
   }
 }
 
+/// Find-or-create `name` in `metrics`; the key string is built only on
+/// insert.
+template <typename Metric>
+Metric& find_or_create(std::map<std::string, std::unique_ptr<Metric>, std::less<>>& metrics,
+                       std::string_view name) {
+  auto it = metrics.find(name);
+  if (it == metrics.end()) {
+    it = metrics.emplace(std::string{name}, std::make_unique<Metric>()).first;
+  }
+  return *it->second;
+}
+
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "0";
   char buf[40];
@@ -194,25 +206,19 @@ Registry& Registry::global() {
   return registry;
 }
 
-Counter& Registry::counter(const std::string& name) {
+Counter& Registry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lk(m_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  return find_or_create(counters_, name);
 }
 
-Gauge& Registry::gauge(const std::string& name) {
+Gauge& Registry::gauge(std::string_view name) {
   std::lock_guard<std::mutex> lk(m_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return find_or_create(gauges_, name);
 }
 
-Histogram& Registry::histogram(const std::string& name) {
+Histogram& Registry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lk(m_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  return find_or_create(histograms_, name);
 }
 
 MetricsSnapshot Registry::snapshot() const {

@@ -16,6 +16,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -131,19 +132,20 @@ class Registry {
   /// Process-wide registry (what the manifest snapshots).
   [[nodiscard]] static Registry& global();
 
-  /// Find-or-create by name. Returned references live as long as the
-  /// registry; hot callers may cache them.
-  [[nodiscard]] Counter& counter(const std::string& name);
-  [[nodiscard]] Gauge& gauge(const std::string& name);
-  [[nodiscard]] Histogram& histogram(const std::string& name);
+  /// Find-or-create by name. Finding an existing metric allocates
+  /// nothing; only a new name is copied into the registry. Returned
+  /// references live as long as the registry; hot callers may cache them.
+  [[nodiscard]] Counter& counter(std::string_view name);
+  [[nodiscard]] Gauge& gauge(std::string_view name);
+  [[nodiscard]] Histogram& histogram(std::string_view name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
   mutable std::mutex m_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 }  // namespace rsd::obs

@@ -115,6 +115,19 @@ class Tracer {
   /// Drop captured events (stays enabled; rings keep their capacity).
   void clear();
 
+  /// Switches instrumentation off on every thread for its lifetime, then
+  /// back on, keeping what was captured. A no-op when tracing is off.
+  class Pause {
+   public:
+    Pause() : resume_(enabled_flag().exchange(false)) {}
+    ~Pause() { if (resume_) enabled_flag().store(true); }
+    Pause(const Pause&) = delete;
+    Pause& operator=(const Pause&) = delete;
+
+   private:
+    bool resume_;
+  };
+
   /// Allocate a fresh simulated-timeline id (one per `gpu::Device`).
   [[nodiscard]] std::int32_t acquire_sim_id() {
     return next_sim_id_.fetch_add(1, std::memory_order_relaxed);

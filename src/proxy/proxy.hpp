@@ -130,6 +130,8 @@ struct SweepConfig {
       duration::microseconds(10.0), duration::microseconds(100.0),
       duration::milliseconds(1.0),  duration::milliseconds(10.0)};
   SimDuration target_compute = duration::seconds(30.0);
+
+  bool operator==(const SweepConfig&) const = default;
 };
 
 /// The full Figure 3 sweep: every (size, threads, slack) combination that

@@ -1,21 +1,16 @@
 // Memoized Figure-3 response surfaces.
 //
-// Four harnesses (fig3, table4, model_validation, ablation_binning) need
-// the same proxy slack sweep; before this cache each rebuilt the full
-// surface from scratch (~hundreds of DES runs). `SweepCache` keys a sweep
-// by a fingerprint of everything that determines its output — device
-// calibration, link parameters, and the `SweepConfig` grid — memoizes it
-// in-process, and persists it as CSV under `<results>/.cache/` so later
-// *processes* load it in milliseconds too.
+// Several harnesses need a proxy slack sweep (~hundreds of DES runs), and
+// fig3, table4, model_validation and extension_trace_replay all need the
+// same default one. `SweepCache` keys a sweep by everything that
+// determines its output — device calibration, link parameters, and the
+// `SweepConfig` grid, compared exactly — and memoizes it in-process, so
+// one `ExperimentContext` computes each surface at most once.
 //
-// The simulations are bit-deterministic, so a cache hit is exact: loaded
-// points reproduce the original sweep byte-for-byte (doubles round-trip
-// via hexfloat).
+// The simulations are bit-deterministic, so a hit returns exactly the
+// points a fresh sweep would.
 #pragma once
 
-#include <cstdint>
-#include <filesystem>
-#include <map>
 #include <mutex>
 #include <vector>
 
@@ -26,52 +21,36 @@ namespace rsd::proxy {
 
 class SweepCache {
  public:
-  /// Cache files live in `dir` (created on first store).
-  explicit SweepCache(std::filesystem::path dir);
-
-  /// Process-wide cache rooted at `<results_dir()>/.cache`.
-  [[nodiscard]] static SweepCache& global();
-
-  /// Everything that determines a sweep's output: device calibration,
-  /// link parameters, and the sweep grid.
-  [[nodiscard]] static std::uint64_t fingerprint(const ProxyRunner& runner,
-                                                 const SweepConfig& config);
-
-  /// Return the memoized sweep, loading from disk or running it (fanned
-  /// out on `exec::Pool::global()`) on a miss.
-  [[nodiscard]] std::vector<SweepPoint> get_or_run(const ProxyRunner& runner,
-                                                   const SweepConfig& config);
-
-  /// Same, on an explicit pool.
+  /// Return the memoized sweep, or run it (fanned out on `pool`, with the
+  /// obs tracer paused) on a miss.
   [[nodiscard]] std::vector<SweepPoint> get_or_run(const ProxyRunner& runner,
                                                    const SweepConfig& config, exec::Pool& pool);
 
-  [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
-
-  /// Drop in-process memoization (disk entries stay). Mostly for tests.
-  void clear_memory();
-
   /// Observability for the harness: how the `get_or_run` calls so far
-  /// were served. `sweeps_computed()` staying at 1 across a whole
-  /// rsd_bench invocation is the "surface built once" guarantee. These are
-  /// thin wrappers over per-instance `obs::Counter`s; every increment is
-  /// also mirrored into the global metrics registry (`sweep_cache.*`).
+  /// were served. `sweeps_computed()` counting one per distinct surface
+  /// across a whole rsd_bench invocation is the "surface built once"
+  /// guarantee. These are thin wrappers over per-instance `obs::Counter`s;
+  /// every increment is also mirrored into the global metrics registry
+  /// (`sweep_cache.*`).
   [[nodiscard]] std::size_t memory_hits() const {
     return static_cast<std::size_t>(memory_hits_.value());
-  }
-  [[nodiscard]] std::size_t disk_loads() const {
-    return static_cast<std::size_t>(disk_loads_.value());
   }
   [[nodiscard]] std::size_t sweeps_computed() const {
     return static_cast<std::size_t>(sweeps_computed_.value());
   }
 
  private:
-  std::filesystem::path dir_;
+  /// One memoized surface and the inputs it was computed from.
+  struct Entry {
+    gpu::DeviceParams device;
+    interconnect::LinkParams link;
+    SweepConfig config;
+    std::vector<SweepPoint> points;
+  };
+
   mutable std::mutex m_;
-  std::map<std::uint64_t, std::vector<SweepPoint>> memory_;
+  std::vector<Entry> entries_;  ///< A handful per invocation: searched linearly.
   obs::Counter memory_hits_;
-  obs::Counter disk_loads_;
   obs::Counter sweeps_computed_;
 };
 

@@ -5,8 +5,9 @@
 // cross-partition message arrival — the engine's lookahead graph must be
 // exactly the chassis-crossing ring edges, the one-partition-per-chassis
 // engine must reproduce the tracked row timings exactly in 2 events per
-// rank-phase, chunk arrivals must never become root tasks, and a row with
-// NICs must route its ring without building route tables.
+// rank-phase, a flat row's timing must not depend on how many partitions
+// it is cut into, chunk arrivals must never become root tasks, and a row
+// with NICs must route its ring without building route tables.
 #include "gpusim/row.hpp"
 
 #include <gtest/gtest.h>
@@ -327,6 +328,31 @@ TEST(RowFabric, ChassisPartitionsKeepTrackedTiming) {
       row.reset();  // flushes the devices' tallies
       // Every booking on an idle engine is exposed; a queued copy is not.
       EXPECT_EQ(unexposed_ops() > unexposed_before, c.queues_copies) << label;
+    }
+  }
+}
+
+TEST(RowFabric, FlatRowIsPartitionInvariant) {
+  // Cutting a flat row into engine partitions must not move any event: one
+  // step of a 128-GPU row gives the same digest and finish time at one GPU
+  // per partition as with the whole row in one partition.
+  constexpr int kGpus = 128;
+  for (const net::FabricKind kind : net::all_fabric_kinds()) {
+    std::vector<RowRun> runs;
+    for (const int per_chassis : {1, 8, 64, kGpus}) {
+      RowParams params;
+      params.gpus = kGpus;
+      params.fabric_kind = kind;
+      params.gpus_per_chassis = per_chassis;
+      params.sim_threads = 1;
+      PartitionedRow row{params};
+      const SimTime finish = row.run_training(small_training(1));
+      const std::string label =
+          std::string{net::to_string(kind)} + ", " + std::to_string(per_chassis) + "/chassis";
+      EXPECT_EQ(row.engine().size(), kGpus / per_chassis) << label;
+      runs.push_back(RowRun{row.digest(), finish});
+      EXPECT_EQ(runs.back().digest, runs.front().digest) << label;
+      EXPECT_EQ(runs.back().finish, runs.front().finish) << label;
     }
   }
 }

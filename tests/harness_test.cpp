@@ -26,10 +26,8 @@ namespace fs = std::filesystem;
 
 void noop_run(ExperimentContext&) {}
 
-std::unique_ptr<FunctionExperiment> make_experiment(std::string name,
-                                                    const std::string& tags = "test") {
-  return std::make_unique<FunctionExperiment>(std::move(name), tags, "a test experiment",
-                                              &noop_run);
+std::unique_ptr<Experiment> make_experiment(std::string name, const std::string& tags = "test") {
+  return std::make_unique<Experiment>(std::move(name), tags, "a test experiment", &noop_run);
 }
 
 int cli(std::vector<std::string> args, std::string* out_text = nullptr,
@@ -434,7 +432,6 @@ TEST(Context, SurfaceComputedOncePerInvocation) {
   table4->run(ctx);  // same default sweep grid -> memory hit, no recompute
   EXPECT_EQ(ctx.sweep_cache().sweeps_computed(), 1u);
   EXPECT_GE(ctx.sweep_cache().memory_hits(), 1u);
-  EXPECT_EQ(ctx.sweep_cache().disk_loads(), 0u);
 }
 
 }  // namespace

@@ -7,12 +7,15 @@
 //  * Frame arena: steady-state coroutine and plain-call churn performs
 //    ZERO general-heap allocations per op (this binary links the counting
 //    operator new/delete from rsd_alloc_counter).
+//  * Metric lookups: finding an existing obs::Registry metric by name
+//    allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 
 #include "core/alloc_counter.hpp"
+#include "obs/metrics.hpp"
 #include "sim/arena.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/sync.hpp"
@@ -156,6 +159,24 @@ TEST(AllocCounter, CountsHeapTraffic) {
   const std::int64_t frees = alloc::deallocation_count();
   delete p;
   EXPECT_GT(alloc::deallocation_count(), frees);
+}
+
+/// Names longer than the 15-character small-string buffer: a lookup that
+/// built a `std::string` key would allocate each time. `~Device` flushes
+/// six such counters per device.
+TEST(Registry, LookupOfAnExistingMetricAllocatesNothing) {
+  obs::Registry registry;
+  (void)registry.counter("test.counter_long_name");
+  (void)registry.gauge("test.gauge_long_name");
+  (void)registry.histogram("test.histogram_long_name");
+
+  const std::int64_t before = alloc::allocation_count();
+  for (int i = 0; i < 100; ++i) {
+    registry.counter("test.counter_long_name").add(1);
+    registry.gauge("test.gauge_long_name").set(1.0);
+    registry.histogram("test.histogram_long_name").observe(1);
+  }
+  EXPECT_EQ(alloc::allocation_count() - before, 0);
 }
 
 }  // namespace

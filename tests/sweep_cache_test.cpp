@@ -2,20 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/csv.hpp"
 #include "exec/pool.hpp"
+#include "obs/tracer.hpp"
 
 namespace rsd::proxy {
 namespace {
 
-namespace fs = std::filesystem;
 using namespace rsd::literals;
 
 SweepConfig small_config() {
@@ -38,145 +34,77 @@ std::string to_csv(const std::vector<SweepPoint>& points) {
   return csv.str();
 }
 
-/// A cache directory of this test's own: ctest runs each case as its own
-/// process, possibly in parallel, so the name carries the test and the pid.
-struct TempDir {
-  fs::path path;
-  TempDir()
-      : path(fs::temp_directory_path() /
-             ("rsd_sweep_cache_test_" +
-              std::string{::testing::UnitTest::GetInstance()->current_test_info()->name()} +
-              "_" + std::to_string(::getpid()))) {
-    fs::remove_all(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
-
-/// The single cache entry in `dir`.
-fs::path only_entry(const fs::path& dir) {
-  std::vector<fs::path> entries;
-  for (const auto& e : fs::directory_iterator(dir)) entries.push_back(e.path());
-  EXPECT_EQ(entries.size(), 1u);
-  return entries.empty() ? fs::path{} : entries.front();
-}
-
-std::vector<std::string> read_lines(const fs::path& file) {
-  std::ifstream in{file};
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  return lines;
-}
-
-void write_lines(const fs::path& file, const std::vector<std::string>& lines) {
-  std::ofstream out{file, std::ios::trunc};
-  for (const std::string& line : lines) out << line << '\n';
-}
-
-TEST(SweepCache, MemoizesAndRoundTripsThroughDisk) {
-  TempDir tmp;
+TEST(SweepCache, MemoizesTheSweep) {
+  exec::Pool pool{2};
   const ProxyRunner runner;
   const SweepConfig cfg = small_config();
 
-  SweepCache cache{tmp.path};
-  const auto fresh = cache.get_or_run(runner, cfg);
+  SweepCache cache;
+  const auto fresh = cache.get_or_run(runner, cfg, pool);
   EXPECT_FALSE(fresh.empty());
-  EXPECT_EQ(to_csv(fresh), to_csv(run_slack_sweep(runner, cfg)));
+  EXPECT_EQ(to_csv(fresh), to_csv(run_slack_sweep(runner, cfg, pool)));
 
-  // In-process memoization.
-  EXPECT_EQ(to_csv(cache.get_or_run(runner, cfg)), to_csv(fresh));
-
-  // Cross-process path: a new cache on the same directory must load the
-  // persisted CSV and reproduce the sweep bit-for-bit.
-  SweepCache reopened{tmp.path};
-  const auto loaded = reopened.get_or_run(runner, cfg);
-  EXPECT_EQ(to_csv(loaded), to_csv(fresh));
-
-  // And the entry really is on disk.
-  bool found = false;
-  for (const auto& e : fs::directory_iterator(tmp.path)) {
-    if (e.path().extension() == ".csv") found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(to_csv(cache.get_or_run(runner, cfg, pool)), to_csv(fresh));
+  EXPECT_EQ(cache.sweeps_computed(), 1u);
+  EXPECT_EQ(cache.memory_hits(), 1u);
 }
 
-TEST(SweepCache, FingerprintDependsOnGridAndCalibration) {
-  const ProxyRunner a;
-  SweepConfig cfg = small_config();
-  const std::uint64_t base = SweepCache::fingerprint(a, cfg);
+TEST(SweepCache, AnyInputChangeComputesItsOwnSurface) {
+  exec::Pool pool{2};
+  const ProxyRunner base;
+  const SweepConfig cfg = small_config();
+
+  SweepCache cache;
+  const auto first = cache.get_or_run(base, cfg, pool);
+  EXPECT_EQ(cache.sweeps_computed(), 1u);
 
   SweepConfig denser = cfg;
   denser.matrix_sizes.push_back(1 << 13);
-  EXPECT_NE(SweepCache::fingerprint(a, denser), base);
+  (void)cache.get_or_run(base, denser, pool);
+  EXPECT_EQ(cache.sweeps_computed(), 2u) << "grid";
 
   SweepConfig slower = cfg;
   slower.target_compute = 200_ms;
-  EXPECT_NE(SweepCache::fingerprint(a, slower), base);
+  (void)cache.get_or_run(base, slower, pool);
+  EXPECT_EQ(cache.sweeps_computed(), 3u) << "target_compute";
 
-  gpu::DeviceParams params;
-  params.matmul_tflops *= 2.0;
-  const ProxyRunner faster{params, a.link_params()};
-  EXPECT_NE(SweepCache::fingerprint(faster, cfg), base);
+  gpu::DeviceParams device;
+  device.matmul_tflops *= 2.0;
+  (void)cache.get_or_run(ProxyRunner{device, base.link_params()}, cfg, pool);
+  EXPECT_EQ(cache.sweeps_computed(), 4u) << "device calibration";
 
-  EXPECT_EQ(SweepCache::fingerprint(a, cfg), base);  // stable
+  interconnect::LinkParams link = base.link_params();
+  link.latency += 1_us;
+  (void)cache.get_or_run(ProxyRunner{base.device_params(), link}, cfg, pool);
+  EXPECT_EQ(cache.sweeps_computed(), 5u) << "link latency";
+
+  // The first surface is still served from memory.
+  EXPECT_EQ(cache.memory_hits(), 0u);
+  EXPECT_EQ(to_csv(cache.get_or_run(base, cfg, pool)), to_csv(first));
+  EXPECT_EQ(cache.sweeps_computed(), 5u);
+  EXPECT_EQ(cache.memory_hits(), 1u);
 }
 
-TEST(SweepCache, CorruptEntryIsRebuilt) {
-  TempDir tmp;
-  const ProxyRunner runner;
-  const SweepConfig cfg = small_config();
+TEST(SweepCache, SurfaceBuildStaysOffTheTimeline) {
+  // A hit puts no simulation on the timeline, so the sweep behind a miss
+  // must not either; tracing resumes for the miss's own instant.
+  exec::Pool pool{2};
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.enable();
+  SweepCache cache;
+  (void)cache.get_or_run(ProxyRunner{}, small_config(), pool);
+  EXPECT_TRUE(obs::Tracer::enabled());
+  const obs::Tracer::Snapshot snapshot = tracer.snapshot();
+  tracer.disable();
 
-  SweepCache cache{tmp.path};
-  const auto fresh = cache.get_or_run(runner, cfg);
-
-  // Truncate every cache file, then force a reload from disk.
-  for (const auto& e : fs::directory_iterator(tmp.path)) {
-    std::ofstream out{e.path(), std::ios::trunc};
+  int sim_events = 0;
+  bool computed_instant = false;
+  for (const obs::Event& e : snapshot.events) {
+    if (e.sim_id != obs::kWallClock) ++sim_events;
+    if (e.name == "sweep_cache.sweep_computed") computed_instant = true;
   }
-  SweepCache reopened{tmp.path};
-  EXPECT_EQ(to_csv(reopened.get_or_run(runner, cfg)), to_csv(fresh));
-}
-
-TEST(SweepCache, FileCutAtALineBoundaryIsRebuilt) {
-  TempDir tmp;
-  const ProxyRunner runner;
-  const SweepConfig cfg = small_config();
-  const auto fresh = SweepCache{tmp.path}.get_or_run(runner, cfg);
-
-  // Every row is well-formed, but the last cell of the grid is missing.
-  const fs::path file = only_entry(tmp.path);
-  std::vector<std::string> lines = read_lines(file);
-  ASSERT_EQ(lines.size(), fresh.size() + 1);  // header + one row per point
-  lines.pop_back();
-  write_lines(file, lines);
-
-  SweepCache reopened{tmp.path};
-  const auto loaded = reopened.get_or_run(runner, cfg);
-  EXPECT_EQ(to_csv(loaded), to_csv(fresh));
-  EXPECT_EQ(reopened.disk_loads(), 0u);
-  EXPECT_EQ(reopened.sweeps_computed(), 1u);
-}
-
-TEST(SweepCache, EmptyCellIsRebuiltNotThrown) {
-  TempDir tmp;
-  const ProxyRunner runner;
-  const SweepConfig cfg = small_config();
-  const auto fresh = SweepCache{tmp.path}.get_or_run(runner, cfg);
-
-  // A torn write: the first data row loses its iteration count.
-  const fs::path file = only_entry(tmp.path);
-  std::vector<std::string> lines = read_lines(file);
-  ASSERT_GE(lines.size(), 2u);
-  std::string& row = lines[1];
-  std::size_t comma = 0;
-  for (int i = 0; i < 6; ++i) comma = row.find(',', comma) + 1;  // start of cell 6
-  row.erase(comma, row.find(',', comma) - comma);
-  write_lines(file, lines);
-
-  SweepCache reopened{tmp.path};
-  std::vector<SweepPoint> loaded;
-  ASSERT_NO_THROW(loaded = reopened.get_or_run(runner, cfg));
-  EXPECT_EQ(to_csv(loaded), to_csv(fresh));
-  EXPECT_EQ(reopened.sweeps_computed(), 1u);
+  EXPECT_EQ(sim_events, 0);
+  EXPECT_TRUE(computed_instant);
 }
 
 }  // namespace
