@@ -1,7 +1,11 @@
 #include "interconnect/fabric.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "core/error.hpp"
 
@@ -51,6 +55,49 @@ const std::vector<FabricKind>& all_fabric_kinds() {
 
 namespace {
 
+/// Rejects, by field name, a FabricParams the graph cannot carry: a
+/// bandwidth that is not finite and positive, a negative latency, and a
+/// flat mesh with more links than LinkId (int32) can number. Zero
+/// latencies are legal (a row checks its own ring edges).
+void check_params(const FabricParams& p) {
+  const auto reject = [](const std::string& field, const std::string& rule) {
+    throw Error{ErrorCode::kInvalidArgument,
+                "net::build_fabric: FabricParams::" + field + " " + rule};
+  };
+  if (p.gpus < 1) reject("gpus", "must be >= 1");
+  if (p.gpus_per_chassis < 1) reject("gpus_per_chassis", "must be >= 1");
+  if (p.host_endpoint && !p.chassis_nics) {
+    reject("host_endpoint", "requires chassis_nics (the host attaches behind nic0)");
+  }
+  const std::pair<const char*, double> bandwidths[] = {
+      {"link_bandwidth_gib_s", p.link_bandwidth_gib_s},
+      {"nic_bandwidth_gib_s", p.nic_bandwidth_gib_s},
+      {"fibre_bandwidth_gib_s", p.fibre_bandwidth_gib_s},
+      {"host_bandwidth_gib_s", p.host_bandwidth_gib_s},
+  };
+  for (const auto& [field, gib_s] : bandwidths) {
+    if (!std::isfinite(gib_s) || gib_s <= 0.0) reject(field, "must be finite and > 0");
+  }
+  const std::pair<const char*, SimDuration> latencies[] = {
+      {"link_latency", p.link_latency},
+      {"switch_hop_latency", p.switch_hop_latency},
+      {"ocs_reconfigure", p.ocs_reconfigure},
+      {"nic_latency", p.nic_latency},
+      {"fibre_latency", p.fibre_latency},
+      {"host_latency", p.host_latency},
+  };
+  for (const auto& [field, latency] : latencies) {
+    if (latency.ns() < 0) reject(field, "must be >= 0");
+  }
+  const auto gpus = static_cast<std::int64_t>(p.gpus);
+  if (p.kind == FabricKind::kFullMesh && !p.chassis_nics &&
+      gpus * (gpus - 1) - 1 > std::numeric_limits<LinkId>::max()) {
+    reject("gpus", "= " + std::to_string(p.gpus) +
+                       ": a flat full mesh numbers gpus * (gpus - 1) links, past "
+                       "the int32 LinkId above 46,341 GPUs");
+  }
+}
+
 void add_gpus(Topology& topo, const FabricParams& params) {
   for (int i = 0; i < params.gpus; ++i) {
     topo.add_node(NodeDesc{.name = "gpu" + std::to_string(i),
@@ -82,13 +129,8 @@ NodeId wire_chassis(Topology& topo, const FabricParams& params,
       return members.front();
 
     case FabricKind::kFullMesh:
-      for (int i = 0; i < n; ++i) {
-        for (int j = i + 1; j < n; ++j) {
-          topo.add_duplex(members[static_cast<std::size_t>(i)],
-                          members[static_cast<std::size_t>(j)], LinkKind::kNvlink,
-                          params.link_bandwidth_gib_s, params.link_latency);
-        }
-      }
+      topo.add_full_mesh(members, LinkKind::kNvlink, params.link_bandwidth_gib_s,
+                         params.link_latency);
       return members.front();
 
     case FabricKind::kElectricalSwitch: {
@@ -155,13 +197,8 @@ void build_multi_chassis(Topology& topo, const FabricParams& params) {
         break;
 
       case FabricKind::kFullMesh:
-        for (int c = 0; c < chassis_count; ++c) {
-          for (int d = c + 1; d < chassis_count; ++d) {
-            topo.add_duplex(nics[static_cast<std::size_t>(c)],
-                            nics[static_cast<std::size_t>(d)], LinkKind::kFibre,
-                            params.fibre_bandwidth_gib_s, params.fibre_latency);
-          }
-        }
+        topo.add_full_mesh(nics, LinkKind::kFibre, params.fibre_bandwidth_gib_s,
+                           params.fibre_latency);
         break;
 
       case FabricKind::kElectricalSwitch: {
@@ -198,19 +235,7 @@ void build_multi_chassis(Topology& topo, const FabricParams& params) {
 }  // namespace
 
 Topology build_fabric(const FabricParams& params) {
-  if (params.gpus < 1) {
-    throw Error{ErrorCode::kInvalidArgument, "net::build_fabric: gpus must be >= 1"};
-  }
-  if (params.gpus_per_chassis < 1) {
-    throw Error{ErrorCode::kInvalidArgument,
-                "net::build_fabric: gpus_per_chassis must be >= 1"};
-  }
-  if (params.host_endpoint && !params.chassis_nics) {
-    throw Error{ErrorCode::kInvalidArgument,
-                "net::build_fabric: host_endpoint requires chassis_nics (the host "
-                "attaches behind nic0)"};
-  }
-
+  check_params(params);
   Topology topo;
   add_gpus(topo, params);
 
@@ -220,14 +245,6 @@ Topology build_fabric(const FabricParams& params) {
     std::vector<NodeId> devices;
     devices.reserve(static_cast<std::size_t>(params.gpus));
     for (int i = 0; i < params.gpus; ++i) devices.push_back(topo.device(i));
-    if (params.kind == FabricKind::kFullMesh) {
-      // A flat 512-GPU mesh has 261,632 links (8 MiB). Sized once, the
-      // next mesh reuses the block this one frees; regrown by doubling, the
-      // freed smaller buffers leave heap holes that can lift a process that
-      // builds many rows a whole mesh higher in peak RSS.
-      topo.reserve_links(static_cast<std::size_t>(params.gpus) *
-                         static_cast<std::size_t>(params.gpus - 1));
-    }
     wire_chassis(topo, params, devices, -1);
   }
   if (params.kind == FabricKind::kOpticalCircuit) {

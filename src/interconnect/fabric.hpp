@@ -6,7 +6,10 @@
 //                         cheapest row, bandwidth-optimal for ring
 //                         collectives, diameter n/2;
 //   * fullmesh          — a dedicated duplex link per GPU pair; an upper
-//                         bound no real row would build past a chassis;
+//                         bound no real row would build past a chassis.
+//                         Each mesh is one Topology entry whose link ids
+//                         follow from the pair, so a 512-GPU row stores
+//                         none of its 261,632 links;
 //   * eswitch           — one non-blocking electrical packet switch, every
 //                         GPU one port; per-hop forwarding latency;
 //   * ocs               — an optical circuit switch: passive (no per-hop
@@ -78,8 +81,11 @@ struct FabricParams {
   SimDuration host_latency = duration::microseconds(8.0);
 };
 
-/// Build the fabric's link graph. Throws rsd::Error{kInvalidArgument} on
-/// gpus < 1 or gpus_per_chassis < 1.
+/// Build the fabric's link graph. Throws rsd::Error{kInvalidArgument},
+/// naming the FabricParams field, on gpus < 1, gpus_per_chassis < 1,
+/// host_endpoint without chassis_nics, a bandwidth that is not finite and
+/// positive, a negative latency or ocs_reconfigure, or a flat full mesh
+/// of more than 46,341 GPUs (its link ids would overflow LinkId).
 [[nodiscard]] Topology build_fabric(const FabricParams& params);
 
 /// The event-driven collective algorithms layered over a fabric

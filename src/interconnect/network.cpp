@@ -92,22 +92,21 @@ void Network::flush() {
 sim::Task<> Network::transfer(NodeId src, NodeId dst, Bytes bytes, TransferStats* stats) {
   const Path& path = topo_.route(src, dst);
   ++transfers_;
-  // A transfer that crosses a NIC port or a fibre run left its chassis (or
-  // touched the chassis edge): count it so experiments can split row-scale
-  // traffic from chassis-local traffic. Flat fabrics have neither kind.
-  for (const LinkId lid : path.links) {
-    const LinkKind kind = topo_.link(lid).kind;
-    if (kind == LinkKind::kNic || kind == LinkKind::kFibre) {
-      ++nic_transfers_;
-      break;
-    }
-  }
-
   bool queued = false;
+  bool left_chassis = false;
   for (std::size_t hop = 0; hop < path.links.size(); ++hop) {
     const LinkId lid = path.links[hop];
-    const LinkDesc& desc = topo_.link(lid);
+    const LinkDesc desc = topo_.link(lid);
     LinkState& state = links_[static_cast<std::size_t>(lid)];
+
+    // A transfer that crosses a NIC port or a fibre run left its chassis
+    // (or touched the chassis edge): count it once so experiments can
+    // split row-scale traffic from chassis-local traffic. Flat fabrics
+    // have neither kind.
+    if (!left_chassis && (desc.kind == LinkKind::kNic || desc.kind == LinkKind::kFibre)) {
+      left_chassis = true;
+      ++nic_transfers_;
+    }
 
     // Entering an optical circuit: the ingress port must point at the
     // egress this path takes next; retargeting pays the reconfiguration

@@ -11,6 +11,15 @@
 // cross-check; tests/net_collective_test.cpp pins the two against each
 // other on uncontended fabrics).
 //
+// A full mesh is one entry, not n(n-1) stored links: `add_full_mesh`
+// records its members, link parameters and first link id, and derives
+// every link from the pair formula. Member pairs (i < j) are numbered in
+// lexicographic order; pair k owns ids first + 2k (i -> j) and
+// first + 2k + 1 (j -> i) — the ids a loop of `add_duplex` calls over the
+// pairs would hand out. So `link()` returns a LinkDesc by value, decoded
+// for a mesh id in O(log n), and a 512-GPU flat mesh costs its member
+// list instead of 8 MiB of links and 512 out-lists.
+//
 // Routing is deterministic: min-latency paths (ties broken by hop count,
 // then node id). Dijkstra is only the *table builder*: the first route out
 // of a source runs one full Dijkstra and fills that source's dense
@@ -21,9 +30,11 @@
 // reference the randomized equivalence test (tests/net_fastpath_test.cpp)
 // cross-checks the tables against, and the cheaper search for a caller
 // that asks each source for one route only (gpu::PartitionedRow's
-// multi-chassis ring). Path latency sums link latencies plus the forwarding
-// latency of intermediate nodes (an electrical switch's per-hop cost);
-// path bandwidth is the bottleneck link.
+// multi-chassis ring). Both relax a node's links in insertion order, a
+// mesh's links in ascending member order at the point the mesh was added.
+// Path latency sums link latencies plus the forwarding latency of
+// intermediate nodes (an electrical switch's per-hop cost); path bandwidth
+// is the bottleneck link.
 #pragma once
 
 #include <cstdint>
@@ -109,22 +120,31 @@ class Topology {
 
   NodeId add_node(NodeDesc desc);
   /// One directed link. Throws rsd::Error{kInvalidArgument} on a self
-  /// loop, an unknown endpoint, or non-positive bandwidth.
+  /// loop, an unknown endpoint, non-positive bandwidth, negative latency,
+  /// or an id past LinkId's range.
   LinkId add_link(LinkDesc desc);
   /// Two directed links, one per direction (the common case).
   void add_duplex(NodeId a, NodeId b, LinkKind kind, double bandwidth_gib_s,
                   SimDuration latency);
-  /// Room for `more` links, so a dense fabric's link list is sized once.
-  void reserve_links(std::size_t more) { links_.reserve(links_.size() + more); }
+  /// A duplex link between every pair of `members`, recorded as one entry
+  /// whose ids follow the pair formula (file comment). Fewer than two members
+  /// add nothing. Throws rsd::Error{kInvalidArgument} on a repeated or
+  /// unknown member, non-positive bandwidth, negative latency, or a mesh
+  /// whose ids would overflow LinkId.
+  void add_full_mesh(const std::vector<NodeId>& members, LinkKind kind,
+                     double bandwidth_gib_s, SimDuration latency);
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] std::size_t link_count() const { return links_.size(); }
+  /// Every directed link, a mesh of n members counting n(n-1).
+  [[nodiscard]] std::size_t link_count() const {
+    return static_cast<std::size_t>(link_count_);
+  }
   [[nodiscard]] const NodeDesc& node(NodeId id) const {
     return nodes_.at(static_cast<std::size_t>(id));
   }
-  [[nodiscard]] const LinkDesc& link(LinkId id) const {
-    return links_.at(static_cast<std::size_t>(id));
-  }
+  /// The link with this id (a mesh link decoded from its id). Throws
+  /// rsd::Error{kInvalidArgument} on an id outside [0, link_count()).
+  [[nodiscard]] LinkDesc link(LinkId id) const;
 
   /// Devices (kGpu nodes) in insertion order: device index -> node id.
   [[nodiscard]] int device_count() const { return static_cast<int>(devices_.size()); }
@@ -155,7 +175,7 @@ class Topology {
   /// Min-latency route from src to dst, served from the dense per-source
   /// route table (built by one full Dijkstra on the source's first route;
   /// O(1) thereafter). Throws rsd::Error{kInvalidArgument} when no route
-  /// exists. Tables are invalidated by add_node/add_link.
+  /// exists. Tables are invalidated by add_node/add_link/add_full_mesh.
   [[nodiscard]] const Path& route(NodeId src, NodeId dst) const;
 
   /// A fresh per-pair Dijkstra that stops at `dst`, no tables, no caching
@@ -177,12 +197,30 @@ class Topology {
   [[nodiscard]] SimDuration ocs_reconfigure() const { return ocs_reconfigure_; }
   void set_ocs_reconfigure(SimDuration d) { ocs_reconfigure_ = d; }
 
-  /// Outbound links of `id` in insertion order.
-  [[nodiscard]] const std::vector<LinkId>& out_links(NodeId id) const {
-    return out_.at(static_cast<std::size_t>(id));
-  }
-
  private:
+  /// One full mesh: ids [first, first + n(n-1)) by the pair formula.
+  struct Mesh {
+    std::vector<NodeId> members;
+    LinkKind kind = LinkKind::kNvlink;
+    double bandwidth_gib_s = 1.0;
+    SimDuration latency = SimDuration::zero();
+    LinkId first = kInvalidLink;
+    /// Explicit links added before this mesh (links_ index of the next).
+    std::size_t explicit_before = 0;
+
+    /// The link `offset` ids past `first`.
+    [[nodiscard]] LinkDesc link(std::int64_t offset) const;
+  };
+
+  /// One entry of a node's out-list, in insertion order: an explicit link,
+  /// or the node's row of a full mesh (its links to every other member in
+  /// ascending member order).
+  struct Out {
+    LinkId link = kInvalidLink;  ///< The explicit link's id; kInvalidLink for a mesh row.
+    std::int32_t at = 0;         ///< links_ index of that link, or meshes_ index of the row.
+    std::int32_t member = 0;     ///< A mesh row's member position.
+  };
+
   /// Dense routing row of one source: for every node, the last link on the
   /// min-latency path from the source (kInvalidLink = unreached) plus the
   /// path latency; `paths` materialises the user-facing Path per
@@ -195,12 +233,24 @@ class Topology {
     std::vector<unsigned char> materialized;
   };
 
+  /// Calls visit(id, dst, latency) for each outbound link of `node` in
+  /// insertion order — the relaxation order of both Dijkstras.
+  template <typename Visit>
+  void for_each_out(NodeId node, Visit&& visit) const;
+  /// Claims `count` consecutive link ids, or throws when they would pass
+  /// LinkId's range.
+  LinkId claim_link_ids(std::int64_t count);
+  /// The Path ending at `dst`, walked back through a filled `via` row.
+  [[nodiscard]] Path walk_back(const std::vector<LinkId>& via, NodeId src, NodeId dst,
+                               std::int64_t latency_ns) const;
   [[nodiscard]] SourceRow& source_row(NodeId src) const;
   void invalidate_routes();
 
   std::vector<NodeDesc> nodes_;
-  std::vector<LinkDesc> links_;
-  std::vector<std::vector<LinkId>> out_;
+  std::vector<LinkDesc> links_;  ///< Explicit links in id order.
+  std::vector<Mesh> meshes_;     ///< In id order.
+  std::vector<std::vector<Out>> out_;
+  std::int64_t link_count_ = 0;
   std::vector<NodeId> devices_;
   std::vector<NodeId> nics_;
   std::vector<NodeId> hosts_;

@@ -43,6 +43,23 @@ std::string json_number(double v) {
   return std::string{buf};
 }
 
+/// Narrows a histogram delta's min/max (the process-wide extremes) to the
+/// value range of its lowest and highest non-empty buckets: bucket 0 holds
+/// v <= 0, bucket i holds [2^(i-1), 2^i) and the top bucket is open-ended.
+void bound_extremes(MetricSample& d) {
+  if (d.count <= 0) {
+    d.min = 0;
+    d.max = 0;
+    return;
+  }
+  int lo = 0;
+  while (lo < kHistogramBuckets - 1 && d.buckets[static_cast<std::size_t>(lo)] == 0) ++lo;
+  int hi = kHistogramBuckets - 1;
+  while (hi > 0 && d.buckets[static_cast<std::size_t>(hi)] == 0) --hi;
+  if (lo > 0) d.min = std::max(d.min, std::int64_t{1} << (lo - 1));
+  if (hi < kHistogramBuckets - 1) d.max = std::min(d.max, (std::int64_t{1} << hi) - 1);
+}
+
 }  // namespace
 
 int HistogramData::bucket_index(std::int64_t v) {
@@ -113,7 +130,8 @@ MetricsSnapshot metrics_delta(const MetricsSnapshot& before, const MetricsSnapsh
           d.count = a.count - b->count;
           break;
         case MetricKind::kGauge:
-          break;  // latest value stands
+          d.count = a.count - b->count;  // the latest value stands
+          break;
         case MetricKind::kHistogram:
           d.count = a.count - b->count;
           d.sum = a.sum - b->sum;
@@ -127,6 +145,7 @@ MetricsSnapshot metrics_delta(const MetricsSnapshot& before, const MetricsSnapsh
                 a.buckets[static_cast<std::size_t>(i)] -
                 b->buckets[static_cast<std::size_t>(i)];
           }
+          bound_extremes(d);
           break;
       }
     }
@@ -176,7 +195,7 @@ std::string metrics_json(const MetricsSnapshot& snapshot) {
   out << '{';
   bool first = true;
   for (const MetricSample& s : snapshot.samples) {
-    if (s.kind != MetricKind::kGauge && s.count == 0) continue;
+    if (s.count == 0) continue;
     if (!first) out << ", ";
     first = false;
     out << '"' << json_escape(s.name) << "\": ";
@@ -235,6 +254,7 @@ MetricsSnapshot Registry::snapshot() const {
     MetricSample s;
     s.name = name;
     s.kind = MetricKind::kGauge;
+    s.count = g->sets();
     s.value = g->value();
     snap.samples.push_back(std::move(s));
   }

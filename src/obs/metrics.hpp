@@ -9,8 +9,9 @@
 // from pool workers are TSan-clean.
 //
 // Snapshots are value types; `metrics_delta(before, after)` attributes an
-// interval's activity to one experiment (counters and histogram
-// count/sum subtract; gauges report their latest value).
+// interval's activity to one experiment (counters, gauge set counts and
+// histogram count/sum/buckets subtract; a histogram's min/max are bounded
+// by the interval's own buckets; gauges report their latest value).
 #pragma once
 
 #include <array>
@@ -39,14 +40,20 @@ class Counter {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Last-write-wins instantaneous value.
+/// Last-write-wins instantaneous value, plus how often it was set (so an
+/// interval that never set it can leave it out).
 class Gauge {
  public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
+  void set(double v) {
+    v_.store(v, std::memory_order_relaxed);
+    sets_.fetch_add(1, std::memory_order_relaxed);
+  }
   [[nodiscard]] double value() const { return v_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::int64_t sets() const { return sets_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<double> v_{0.0};
+  std::atomic<std::int64_t> sets_{0};
 };
 
 /// Plain (non-atomic) histogram tally: the accumulate-locally,
@@ -86,7 +93,7 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 struct MetricSample {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
-  std::int64_t count = 0;  ///< Counter value / histogram count.
+  std::int64_t count = 0;  ///< Counter value / gauge set count / histogram count.
   double value = 0.0;      ///< Gauge value / histogram mean.
   std::int64_t sum = 0;    ///< Histogram only.
   std::int64_t min = 0;    ///< Histogram only (0 when empty).
@@ -102,9 +109,12 @@ struct MetricsSnapshot {
   [[nodiscard]] const MetricSample* find(std::string_view name) const;
 };
 
-/// Activity between two snapshots of the same registry. Counters and
-/// histogram count/sum subtract; gauges and histogram min/max report the
-/// `after` side. Metrics born between the snapshots keep their full value.
+/// Activity between two snapshots of the same registry. Counters, gauge
+/// set counts and histogram count/sum/buckets subtract; gauges report the
+/// `after` value. A histogram's min/max are the `after` extremes bounded
+/// by the delta's lowest and highest non-empty buckets, so they describe
+/// the interval (an interval that observed only zeros reports max 0).
+/// Metrics born between the snapshots keep their full value.
 [[nodiscard]] MetricsSnapshot metrics_delta(const MetricsSnapshot& before,
                                             const MetricsSnapshot& after);
 
@@ -119,8 +129,8 @@ struct MetricsSnapshot {
 
 /// One-line JSON object: counters/gauges as numbers, histograms as
 /// {"count","sum","mean","min","max","p50","p90","p99"}. Zero-count
-/// samples are skipped so an experiment's manifest entry only names
-/// subsystems it exercised.
+/// samples (gauges never set) are skipped so an experiment's manifest
+/// entry only names subsystems it exercised.
 [[nodiscard]] std::string metrics_json(const MetricsSnapshot& snapshot);
 
 class Registry {

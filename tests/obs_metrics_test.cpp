@@ -104,6 +104,55 @@ TEST(Metrics, DeltaAttributesOnlyIntervalActivity) {
   EXPECT_DOUBLE_EQ(delta.find("util")->value, 0.75);
 }
 
+TEST(Metrics, DeltaHistogramExtremesComeFromTheInterval) {
+  Registry reg;
+  reg.histogram("depth").observe(7);
+  const MetricsSnapshot before = reg.snapshot();
+  for (int i = 0; i < 3; ++i) reg.histogram("depth").observe(0);
+  const MetricsSnapshot after = reg.snapshot();
+
+  // The registry's extremes span both intervals; the delta's stay inside
+  // its own buckets, so an interval of zeros reports max 0, not 7.
+  EXPECT_EQ(after.find("depth")->max, 7);
+  const MetricsSnapshot delta = metrics_delta(before, after);
+  const MetricSample* d = delta.find("depth");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->count, 3);
+  EXPECT_EQ(d->min, 0);
+  EXPECT_EQ(d->max, 0);
+
+  // Values 5 and 6 fill bucket [4, 8): the delta's extremes are that
+  // bucket's edges, 4 and 7, not the registry's 0 and 100.
+  reg.histogram("depth").observe(100);
+  const MetricsSnapshot mid = reg.snapshot();
+  reg.histogram("depth").observe(5);
+  reg.histogram("depth").observe(6);
+  const MetricsSnapshot last = metrics_delta(mid, reg.snapshot());
+  EXPECT_EQ(last.find("depth")->min, 4);
+  EXPECT_EQ(last.find("depth")->max, 7);
+  EXPECT_LE(static_cast<double>(last.find("depth")->min), last.find("depth")->value);
+  EXPECT_LE(last.find("depth")->value, static_cast<double>(last.find("depth")->max));
+}
+
+TEST(Metrics, GaugeAppearsOnlyInIntervalsThatSetIt) {
+  Registry reg;
+  reg.gauge("exec.width").set(4.0);
+  const MetricsSnapshot first = reg.snapshot();
+  const MetricsSnapshot second = reg.snapshot();
+  EXPECT_EQ(first.find("exec.width")->count, 1);
+
+  // Nothing set it between the two snapshots: the delta carries a zero
+  // set count and its JSON leaves the gauge out.
+  const MetricsSnapshot idle = metrics_delta(first, second);
+  EXPECT_EQ(idle.find("exec.width")->count, 0);
+  EXPECT_EQ(metrics_json(idle).find("exec.width"), std::string::npos);
+
+  reg.gauge("exec.width").set(2.0);
+  const MetricsSnapshot busy = metrics_delta(second, reg.snapshot());
+  EXPECT_EQ(busy.find("exec.width")->count, 1);
+  EXPECT_NE(metrics_json(busy).find("\"exec.width\": 2"), std::string::npos);
+}
+
 TEST(Metrics, HistogramQuantilesInterpolateWithinBuckets) {
   Registry reg;
   auto& h = reg.histogram("lat");

@@ -12,7 +12,8 @@ Checks (exit 0 on success, 1 with a diagnostic on the first violation):
     present, a csv path list, and a metrics object;
   * metrics values are either numbers (counters/gauges) or histogram
     objects with count/sum/mean/min/max plus interpolated p50/p90/p99
-    quantiles satisfying min <= p50 <= p90 <= p99 <= max, all finite;
+    quantiles satisfying min <= p50 <= p90 <= p99 <= max and
+    min <= mean <= max, all finite;
   * link-network counters (metrics named "net.*") are non-negative, and a
     successful fabric_compare entry must carry net.transfers, net.reconfigs,
     net.express, and net.route_hits — the Network flushes them at quiesce
@@ -72,6 +73,11 @@ def check_metrics(metrics, where):
                     <= value["max"]):
                 fail(f"{where}: histogram {name!r} quantiles are not ordered "
                      "within [min, max]")
+            # The mean prints with 12 significant digits; allow that rounding.
+            slack = 1e-11 * max(1.0, abs(value["min"]), abs(value["max"]))
+            if not value["min"] - slack <= value["mean"] <= value["max"] + slack:
+                fail(f"{where}: histogram {name!r} mean {value['mean']} lies "
+                     f"outside [min, max] = [{value['min']}, {value['max']}]")
         else:
             check_finite_number(value, f"{where}: {name}")
             if name.startswith("net.") and value < 0:
