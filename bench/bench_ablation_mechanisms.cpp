@@ -42,9 +42,6 @@ RSD_EXPERIMENT(ablation_mechanisms, "ablation_mechanisms", "ablation",
   CsvWriter csv;
   csv.row("variant", "matrix_n", "slack_us", "normalized");
 
-  const interconnect::Link pcie = interconnect::make_pcie_gen4_x16();
-  const interconnect::LinkParams link{pcie.name(), pcie.latency(), pcie.bandwidth_gib_s()};
-
   for (const auto& variant : variants) {
     gpu::DeviceParams params;
     if (!variant.wake) params.wake_alpha = 0.0;
@@ -52,7 +49,7 @@ RSD_EXPERIMENT(ablation_mechanisms, "ablation_mechanisms", "ablation",
       params.kernel_setup = SimDuration::zero();
       params.copy_setup = SimDuration::zero();
     }
-    const ProxyRunner runner{params, link};
+    const ProxyRunner runner{params};
 
     std::vector<std::string> row{variant.name};
     for (const auto& [n, slack] : cells) {

@@ -44,11 +44,6 @@
 
 namespace {
 
-std::vector<rsd::net::FabricKind> selected_fabrics(const std::string& selection) {
-  if (selection == "all") return rsd::net::all_fabric_kinds();
-  return {rsd::net::parse_fabric_kind(selection)};
-}
-
 /// The replayed workload: `gpus` lanes, each looping fwd/bwd kernels and a
 /// gradient allreduce — the chassis step every fabric experiment prices.
 rsd::wl::Program training_program(int gpus) {
@@ -87,7 +82,7 @@ RSD_EXPERIMENT(attribution_fabrics, "attribution_fabrics", "extension",
   using namespace rsd;
   using namespace rsd::literals;
 
-  const std::vector<net::FabricKind> fabrics = selected_fabrics(ctx.fabric());
+  const std::vector<net::FabricKind>& fabrics = ctx.fabrics();
   constexpr int kGpus = 8;
   const wl::Program program = training_program(kGpus);
   const SimDuration slack = 100_us;

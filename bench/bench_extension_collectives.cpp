@@ -14,10 +14,9 @@ RSD_EXPERIMENT(extension_collectives, "extension_collectives", "extension",
   using namespace rsd;
   using namespace rsd::gpu;
 
-  const auto chassis = make_nvlink();
-  const auto pcie = make_pcie_p2p();
-  interconnect::CdiNetworkParams row;
-  const auto scattered = make_scattered(row);
+  const auto chassis = interconnect::make_nvlink();
+  const auto pcie = interconnect::make_pcie_p2p();
+  const auto scattered = interconnect::make_cdi_link();  // GPUs scattered over the row
 
   Table table{"GPUs", "Bytes", "CDI chassis (NVLink)", "Single node (PCIe P2P)",
               "Scattered nodes", "Chassis speedup vs scattered"};

@@ -5,9 +5,9 @@
 #include "apps/cosmoflow.hpp"
 #include "core/csv.hpp"
 #include "core/table.hpp"
-#include "gpusim/collective.hpp"
 #include "harness/context.hpp"
 #include "harness/experiment.hpp"
+#include "interconnect/link.hpp"
 
 RSD_EXPERIMENT(extension_multigpu_cosmoflow, "extension_multigpu_cosmoflow", "extension",
                "Extension: multi-GPU CosmoFlow — data-parallel training time (1 epoch, "
@@ -36,9 +36,9 @@ RSD_EXPERIMENT(extension_multigpu_cosmoflow, "extension_multigpu_cosmoflow", "ex
     double scattered_base = 0.0;
     for (const int gpus : {1, 2, 4, 8, 16}) {
       cfg.gpus = gpus;
-      cfg.fabric = gpu::make_nvlink();
+      cfg.fabric = interconnect::make_nvlink();
       const double chassis_s = run_cosmoflow_multi_gpu(cfg).runtime.seconds();
-      cfg.fabric = gpu::make_scattered();
+      cfg.fabric = interconnect::make_cdi_link();
       const double scattered_s = run_cosmoflow_multi_gpu(cfg).runtime.seconds();
       if (gpus == 1) {
         chassis_base = chassis_s;

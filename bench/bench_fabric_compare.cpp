@@ -42,15 +42,6 @@
 #include "interconnect/collective.hpp"
 #include "interconnect/fabric.hpp"
 
-namespace {
-
-std::vector<rsd::net::FabricKind> selected_fabrics(const std::string& selection) {
-  if (selection == "all") return rsd::net::all_fabric_kinds();
-  return {rsd::net::parse_fabric_kind(selection)};
-}
-
-}  // namespace
-
 RSD_EXPERIMENT(fabric_compare, "fabric_compare", "extension",
                "Row fabrics under the link-graph machine model: a training step on the "
                "partitioned row at 32/128/512 GPUs per fabric (ring, fullmesh, eswitch, "
@@ -61,7 +52,7 @@ RSD_EXPERIMENT(fabric_compare, "fabric_compare", "extension",
   using namespace rsd;
   using namespace rsd::literals;
 
-  const std::vector<net::FabricKind> fabrics = selected_fabrics(ctx.fabric());
+  const std::vector<net::FabricKind>& fabrics = ctx.fabrics();
 
   CsvWriter csv;
   csv.row("section", "fabric", "algorithm", "gpus", "sim_ns", "closed_form_ring_ns",
@@ -71,10 +62,9 @@ RSD_EXPERIMENT(fabric_compare, "fabric_compare", "extension",
   // Build each fabric topology exactly once and share it everywhere: the
   // rows borrow it through RowParams::topology, the collective section and
   // the closing narration reuse the 32-GPU instance. One build per
-  // (fabric, size) keeps the dense route tables warm across sections. The
-  // default FabricParams link characteristics equal RowParams' defaults
-  // (NVLink-class 200 GiB/s / 2 us, 8 GPUs per chassis, 100 us OCS
-  // retarget), so the shared graph is the one each row would have built.
+  // (fabric, size) keeps the dense route tables warm across sections. A
+  // row builds the same default FabricParams (NVLink-class links, 8 GPUs
+  // per chassis), so the shared graph is the one each row would have built.
   const std::vector<int> row_sizes{32, 128, 512};
   std::map<std::pair<net::FabricKind, int>, net::Topology> topologies;
   for (const net::FabricKind kind : fabrics) {
@@ -85,6 +75,9 @@ RSD_EXPERIMENT(fabric_compare, "fabric_compare", "extension",
       topologies.emplace(std::make_pair(kind, gpus), net::build_fabric(fparams));
     }
   }
+
+  // The closed forms price every transfer at the fabrics' default GPU link.
+  const interconnect::LinkParams nvlink = interconnect::make_nvlink();
 
   // --- 1. Partitioned row: one training step per fabric x row size ------
   const Bytes gradient = 32 * kMiB;
@@ -109,8 +102,7 @@ RSD_EXPERIMENT(fabric_compare, "fabric_compare", "extension",
       training.steps = 1;
 
       const SimTime finish = row.run_training(training);
-      const SimDuration closed_form =
-          gpu::ring_allreduce_time(gradient, gpus, params.fabric);
+      const SimDuration closed_form = gpu::ring_allreduce_time(gradient, gpus, nvlink);
       csv.row("row_step", net::to_string(kind), "ring", gpus, finish.ns(),
               closed_form.ns(), 0, 0, 0, 0, row.engine().messages_delivered(),
               row.engine().epochs(), 0, topo.route_table_hits() - hits_before,
@@ -129,16 +121,13 @@ RSD_EXPERIMENT(fabric_compare, "fabric_compare", "extension",
   const std::vector<net::Algorithm> algorithms{
       net::Algorithm::kRing, net::Algorithm::kTree, net::Algorithm::kHierarchical};
   Table coll_table{{"Fabric", "Algorithm", "Allreduce", "Queued", "Express", "Reconfigs"}};
-  const net::FabricParams link_defaults;  // closed-form uses the default link specs
   for (const net::FabricKind kind : fabrics) {
     const net::Topology& topo = topologies.at({kind, collective_gpus});
     for (const net::Algorithm algorithm : algorithms) {
       const net::AllreduceReport report =
           net::measure_allreduce(topo, algorithm, bytes_per_rank, collective_gpus);
-      const SimDuration closed_form = gpu::ring_allreduce_time(
-          bytes_per_rank, collective_gpus,
-          gpu::GpuInterconnect{"fabric-link", link_defaults.link_bandwidth_gib_s,
-                               link_defaults.link_latency});
+      const SimDuration closed_form =
+          gpu::ring_allreduce_time(bytes_per_rank, collective_gpus, nvlink);
       csv.row("collective", net::to_string(kind), net::to_string(algorithm),
               collective_gpus, report.duration.ns(), closed_form.ns(), report.transfers,
               report.contended_transfers, report.reconfigurations,
@@ -155,7 +144,7 @@ RSD_EXPERIMENT(fabric_compare, "fabric_compare", "extension",
 
   // Narrate the tentpole comparison: what the OCS reconfiguration penalty
   // costs relative to an electrical switch on the same collective.
-  if (ctx.fabric() == "all") {
+  if (fabrics == net::all_fabric_kinds()) {
     const net::Topology& eswitch =
         topologies.at({net::FabricKind::kElectricalSwitch, collective_gpus});
     const net::Topology& ocs =

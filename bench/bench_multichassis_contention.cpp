@@ -48,11 +48,6 @@
 
 namespace {
 
-std::vector<rsd::net::FabricKind> selected_fabrics(const std::string& selection) {
-  if (selection == "all") return rsd::net::all_fabric_kinds();
-  return {rsd::net::parse_fabric_kind(selection)};
-}
-
 /// The 8-GPU training step the attribution experiments replay.
 rsd::wl::Program training_program(int gpus) {
   using namespace rsd;
@@ -215,7 +210,7 @@ RSD_EXPERIMENT(multichassis_contention, "multichassis_contention", "extension",
 
   // --- 3. NIC attribution share per fabric ------------------------------
   Table nic_table{{"Fabric", "Makespan", "NIC", "Fabric", "Reconfig"}};
-  for (const net::FabricKind kind : selected_fabrics(ctx.fabric())) {
+  for (const net::FabricKind kind : ctx.fabrics()) {
     wl::NodeParams node;
     node.chassis_gpus = kGpus;
     node.fabric_kind = kind;

@@ -33,10 +33,10 @@ int main() {
   Table table{"Interconnect", "Slack (one-way)", "Link latency", "16 MiB transfer",
               "Reach [km]"};
   for (const auto& cfg : configs) {
-    const Link link = cfg.traditional ? make_pcie_gen4_x16() : make_cdi_link(cfg.net);
+    const LinkParams link = cfg.traditional ? make_pcie_gen4_x16() : make_cdi_link(cfg.net);
     const SimDuration slack = cfg.traditional ? SimDuration::zero() : cfg.net.slack();
-    table.add_row(cfg.name, format_duration(slack), format_duration(link.latency()),
-                  format_duration(link.transfer_time(payload)),
+    table.add_row(cfg.name, format_duration(slack), format_duration(link.latency),
+                  format_duration(transfer_time(link, payload)),
                   fmt_fixed(reach_km_for_slack(slack), 2));
   }
   table.print(std::cout);

@@ -234,10 +234,8 @@ RowCosmoflowResult run_cosmoflow_row(const RowCosmoflowConfig& config,
 
   gpu::RowParams params;
   params.gpus = config.gpus;
-  params.fabric = config.fabric;
   params.fabric_kind = config.fabric_kind;
   params.sim_threads = config.sim_threads;
-  params.jitter_seed = config.jitter_seed;
   gpu::PartitionedRow row{params};
 
   gpu::RowTraining training;

@@ -23,9 +23,9 @@
 #include "apps/lammps.hpp"  // AppRunResult
 #include "core/names.hpp"
 #include "core/units.hpp"
-#include "gpusim/collective.hpp"
 #include "gpusim/device.hpp"
 #include "interconnect/fabric.hpp"
+#include "interconnect/link.hpp"
 #include "wl/program.hpp"
 
 namespace rsd::apps {
@@ -71,7 +71,7 @@ struct CosmoflowKernel {
 struct MultiGpuCosmoflowConfig {
   CosmoflowConfig base;  ///< Global dataset; steps split across GPUs.
   int gpus = 4;
-  gpu::GpuInterconnect fabric = gpu::make_nvlink();
+  interconnect::LinkParams fabric = interconnect::make_nvlink();
   Bytes gradient_bytes = 32 * kMiB;  ///< Exchanged per step per GPU.
 };
 
@@ -92,14 +92,12 @@ struct MultiGpuCosmoflowConfig {
 struct RowCosmoflowConfig {
   int gpus = 8;
   int steps = 4;  ///< Training steps (full epochs are sweep material).
-  gpu::GpuInterconnect fabric = gpu::make_nvlink();
   /// Row interconnect shape (net::build_fabric); the default ring keeps
   /// the historical row timing.
   net::FabricKind fabric_kind = net::FabricKind::kRing;
   Bytes gradient_bytes = 32 * kMiB;
   int batch = 4;
-  int sim_threads = 0;          ///< <= 0: RSD_SIM_THREADS, else 1.
-  std::uint64_t jitter_seed = 0;  ///< Worker-claim jitter (stress tests).
+  int sim_threads = 0;  ///< <= 0: RSD_SIM_THREADS, else 1.
 };
 
 struct RowCosmoflowResult {

@@ -6,6 +6,7 @@
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "interconnect/link.hpp"
 #include "interconnect/slack.hpp"
 #include "wl/replay.hpp"
 
@@ -49,10 +50,9 @@ StepCosts step_costs(const LammpsConfig& cfg, const LammpsCalibration& cal) {
   // Halo: six neighbor faces; surface atoms ~ owned^(2/3).
   const double surface_atoms = std::cbrt(owned) * std::cbrt(owned);
   const double halo_bytes = 6.0 * surface_atoms * cal.halo_bytes_per_surface_atom;
-  const double halo_seconds =
-      halo_bytes / (cal.mpi_bandwidth_gib_s * static_cast<double>(kGiB));
   c.halo = cfg.procs > 1
-               ? cal.halo_latency + duration::seconds(halo_seconds)
+               ? cal.halo_latency +
+                     interconnect::serialization_time(halo_bytes, cal.mpi_bandwidth_gib_s)
                : SimDuration::zero();
   c.h2d_bytes = static_cast<Bytes>(cal.h2d_bytes_per_atom * owned);
   c.d2h_bytes = static_cast<Bytes>(cal.d2h_bytes_per_atom * owned);

@@ -4,6 +4,7 @@
 
 #include "core/error.hpp"
 #include "exec/pool.hpp"
+#include "interconnect/link.hpp"
 
 namespace rsd::apps {
 
@@ -99,8 +100,8 @@ std::vector<WeakScalingPoint> lammps_weak_scaling(const LammpsConfig& per_unit,
   // the per-step inter-node exchange (units are independent devices).
   const AppRunResult unit = run_lammps(per_unit, cal);
 
-  const SimDuration halo = duration::seconds(
-      static_cast<double>(net.halo_bytes) / (net.network_gib_s * static_cast<double>(kGiB)));
+  const SimDuration halo = interconnect::serialization_time(
+      static_cast<double>(net.halo_bytes), net.network_gib_s);
 
   std::vector<WeakScalingPoint> points;
   double baseline = 0.0;

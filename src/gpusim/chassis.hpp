@@ -23,7 +23,6 @@
 
 #include "core/error.hpp"
 #include "core/units.hpp"
-#include "gpusim/collective.hpp"
 #include "gpusim/device.hpp"
 #include "interconnect/fabric.hpp"
 #include "interconnect/link.hpp"
@@ -55,7 +54,8 @@ struct FabricTransferRecord {
 
 struct ChassisParams {
   int gpus = 8;
-  GpuInterconnect fabric = make_nvlink();
+  /// GPU<->GPU link of every fabric port.
+  interconnect::LinkParams fabric = interconnect::make_nvlink();
   DeviceParams device_params{};
   /// Shape of the GPU<->GPU fabric (net::build_fabric). Full mesh matches
   /// the pre-machine-model chassis timing exactly.
@@ -79,7 +79,6 @@ class Chassis {
 
   [[nodiscard]] int size() const { return static_cast<int>(devices_.size()); }
   [[nodiscard]] Device& device(int i) { return *devices_.at(static_cast<std::size_t>(i)); }
-  [[nodiscard]] const GpuInterconnect& fabric() const { return params_.fabric; }
   [[nodiscard]] const net::Topology& topology() const { return topo_; }
 
   /// The event-driven row network; null unless the topology has NIC nodes

@@ -131,7 +131,7 @@ sim::Task<> Context::memcpy_h2d(const DeviceBuffer& dst, NameRef name) {
     co_await binding_.transport->transfer(binding_.host, binding_.edge, dst.bytes, nullptr);
     service = binding_.transport->price(binding_.edge, binding_.gpu, dst.bytes);
   } else {
-    service = device_.link().transfer_time(dst.bytes);
+    service = interconnect::transfer_time(device_.link(), dst.bytes);
   }
   const auto done = submit_op(OpKind::kMemcpyH2D, name, dst.bytes, service);
   co_await done->wait();
@@ -149,7 +149,7 @@ sim::Task<> Context::memcpy_d2h(const DeviceBuffer& src, NameRef name) {
   const SimDuration service = binding_.bound()
                                   ? binding_.transport->price(binding_.gpu, binding_.edge,
                                                               src.bytes)
-                                  : device_.link().transfer_time(src.bytes);
+                                  : interconnect::transfer_time(device_.link(), src.bytes);
   const auto done = submit_op(OpKind::kMemcpyD2H, name, src.bytes, service);
   co_await done->wait();
   if (binding_.bound()) {
@@ -186,7 +186,7 @@ sim::Task<std::shared_ptr<sim::Event>> Context::memcpy_h2d_async(const DeviceBuf
     co_await binding_.transport->transfer(binding_.host, binding_.edge, dst.bytes, nullptr);
     service = binding_.transport->price(binding_.edge, binding_.gpu, dst.bytes);
   } else {
-    service = device_.link().transfer_time(dst.bytes);
+    service = interconnect::transfer_time(device_.link(), dst.bytes);
   }
   auto done = submit_op(OpKind::kMemcpyH2D, name, dst.bytes, service);
   const SimDuration after = finish_api(kApiMemcpyAsyncH2D, start);
@@ -202,7 +202,7 @@ sim::Task<std::shared_ptr<sim::Event>> Context::memcpy_d2h_async(const DeviceBuf
   const SimDuration service = binding_.bound()
                                   ? binding_.transport->price(binding_.gpu, binding_.edge,
                                                               src.bytes)
-                                  : device_.link().transfer_time(src.bytes);
+                                  : interconnect::transfer_time(device_.link(), src.bytes);
   auto done = submit_op(OpKind::kMemcpyD2H, name, src.bytes, service);
   if (binding_.bound()) {
     // The returned event fires when the payload reaches the *host*, which

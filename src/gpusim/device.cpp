@@ -1,6 +1,8 @@
 #include "gpusim/device.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "obs/tracer.hpp"
@@ -116,7 +118,7 @@ void Engine::book(OpRecord& rec, SimDuration service) {
   account(rec, exposed, now);
 }
 
-Device::Device(sim::Scheduler& sched, DeviceParams params, interconnect::Link link)
+Device::Device(sim::Scheduler& sched, DeviceParams params, interconnect::LinkParams link)
     : sched_(sched),
       params_(std::move(params)),
       link_(std::move(link)),
@@ -125,6 +127,11 @@ Device::Device(sim::Scheduler& sched, DeviceParams params, interconnect::Link li
                /*charges_process_switch=*/true),
       h2d_(sched, *this, "copy-h2d", obs::kTrackCopyH2D, params_.copy_setup),
       d2h_(sched, *this, "copy-d2h", obs::kTrackCopyD2H, params_.copy_setup) {
+  if (!std::isfinite(link_.bandwidth_gib_s) || link_.bandwidth_gib_s <= 0.0) {
+    throw Error{ErrorCode::kInvalidArgument,
+                "gpu::Device: host link LinkParams::bandwidth_gib_s must be finite and > 0, "
+                "got " + std::to_string(link_.bandwidth_gib_s)};
+  }
   if (obs::Tracer::enabled()) trace_id_ = obs::Tracer::instance().acquire_sim_id();
 }
 

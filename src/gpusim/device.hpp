@@ -194,7 +194,10 @@ class Engine {
 /// The simulated GPU.
 class Device {
  public:
-  Device(sim::Scheduler& sched, DeviceParams params, interconnect::Link link);
+  /// `link` is the host<->device link memcpys cross. Throws
+  /// rsd::Error{kInvalidArgument} when its bandwidth is not finite and
+  /// positive.
+  Device(sim::Scheduler& sched, DeviceParams params, interconnect::LinkParams link);
 
   /// Flushes the accumulated engine/wake tallies into the global metrics
   /// registry (the per-run quiesce point of the obs design).
@@ -204,7 +207,7 @@ class Device {
   Device& operator=(const Device&) = delete;
 
   [[nodiscard]] const DeviceParams& params() const { return params_; }
-  [[nodiscard]] const interconnect::Link& link() const { return link_; }
+  [[nodiscard]] const interconnect::LinkParams& link() const { return link_; }
   [[nodiscard]] MemoryPool& memory() { return memory_; }
   [[nodiscard]] const MemoryPool& memory() const { return memory_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
@@ -260,7 +263,7 @@ class Device {
 
   sim::Scheduler& sched_;
   DeviceParams params_;
-  interconnect::Link link_;
+  interconnect::LinkParams link_;
   MemoryPool memory_;
   Engine compute_;
   Engine h2d_;

@@ -15,14 +15,10 @@ namespace {
 
 net::Topology build_row_topology(const RowParams& params) {
   if (params.topology != nullptr) return {};  // shared fabric: nothing to own
-  return net::build_fabric(net::FabricParams{
-      .kind = params.fabric_kind,
-      .gpus = params.gpus,
-      .gpus_per_chassis = params.gpus_per_chassis,
-      .link_bandwidth_gib_s = params.fabric.bandwidth_gib_s,
-      .link_latency = params.fabric.latency,
-      .chassis_nics = params.chassis_nics,
-  });
+  return net::build_fabric(net::FabricParams{.kind = params.fabric_kind,
+                                             .gpus = params.gpus,
+                                             .gpus_per_chassis = params.gpus_per_chassis,
+                                             .chassis_nics = params.chassis_nics});
 }
 
 /// Rank -> partition: one partition per chassis, numbered in the order the
@@ -202,7 +198,7 @@ PartitionedRow::PartitionedRow(RowParams params)
       ring_(route_ring(*topo_, params_)),
       engine_(static_cast<int>(*std::max_element(part_of_.begin(), part_of_.end())) + 1,
               ring_lookahead(part_of_, ring_),
-              {.threads = params_.sim_threads, .jitter_seed = params_.jitter_seed}) {
+              {.threads = params_.sim_threads}) {
   ranks_.reserve(part_of_.size());
   for (const sim::PartitionId part : part_of_) {
     ranks_.emplace_back(new Rank{engine_.partition(part).scheduler(), params_.device_params});
@@ -303,7 +299,8 @@ SimTime PartitionedRow::run_training(const RowTraining& training) {
   edge_transfer_.resize(ring_.size());
   for (std::size_t rank = 0; rank < ring_.size(); ++rank) {
     edge_transfer_[rank] =
-        net::transfer_time(ring_[rank].latency, ring_[rank].bottleneck_gib_s, chunk_);
+        ring_[rank].latency + interconnect::serialization_time(static_cast<double>(chunk_),
+                                                               ring_[rank].bottleneck_gib_s);
   }
   for (int rank = 0; rank < size(); ++rank) {
     sim::Partition& part = engine_.partition(part_of_[static_cast<std::size_t>(rank)]);

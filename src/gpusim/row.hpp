@@ -14,7 +14,7 @@
 //
 // The row's interconnect is a pluggable `net::Topology` (ring, full mesh,
 // electrical switch, or optical circuit switch — net::build_fabric built
-// from `fabric_kind` and the link characteristics in `fabric`). The
+// from `fabric_kind` on its default NVLink-class GPU links). The
 // row's lookahead is its ring edges: the constructor routes each edge
 // once, and the chassis-crossing ones become the engine's lookahead
 // graph, each bounded by its routed latency — no chunk can arrive sooner
@@ -58,7 +58,6 @@
 
 #include "core/names.hpp"
 #include "core/units.hpp"
-#include "gpusim/collective.hpp"
 #include "gpusim/device.hpp"
 #include "interconnect/fabric.hpp"
 #include "interconnect/topology.hpp"
@@ -68,7 +67,6 @@ namespace rsd::gpu {
 
 struct RowParams {
   int gpus = 8;
-  GpuInterconnect fabric = make_nvlink();
   DeviceParams device_params{};
   /// Shape of the row interconnect (net::build_fabric). The default ring
   /// reproduces the pre-machine-model row timing exactly.
@@ -85,8 +83,6 @@ struct RowParams {
   bool chassis_nics = false;
   /// Worker threads for the engine; <= 0 resolves RSD_SIM_THREADS, else 1.
   int sim_threads = 0;
-  /// Non-zero: seeded worker-claim jitter (determinism stress testing).
-  std::uint64_t jitter_seed = 0;
   /// Prebuilt fabric topology to share (it must outlive the row and match
   /// the fabric parameters above); null builds a private one. Sharing
   /// keeps the dense route tables warm across rows (fabric_compare builds

@@ -1,8 +1,10 @@
 #include "harness/cli.hpp"
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -10,8 +12,8 @@
 #include <vector>
 
 #include "core/csv.hpp"
+#include "core/env.hpp"
 #include "core/error.hpp"
-#include "interconnect/fabric.hpp"
 #include "harness/context.hpp"
 #include "harness/registry.hpp"
 #include "harness/runner.hpp"
@@ -122,17 +124,17 @@ int run_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& 
       }
       return std::string{argv[++i]};
     };
-    auto int_value = [&](const char* flag, int min) -> std::optional<int> {
+    // Every integer flag: parse_integer's whole-token rule, range-checked
+    // into the option's type.
+    auto int_value = [&]<typename T>(const char* flag, T min) -> std::optional<T> {
       const auto v = value(flag);
       if (!v) return std::nullopt;
-      char* end = nullptr;
-      const long n = std::strtol(v->c_str(), &end, 10);
-      if (end == v->c_str() || *end != '\0' || n < min) {
-        err << "rsd_bench: " << flag << " expects an integer >= " << min << " (got '" << *v
-            << "')\n";
-        return std::nullopt;
+      const std::optional<T> n = parse_integer(*v, min);
+      if (!n) {
+        err << "rsd_bench: " << flag << " expects an integer >= " << min << " and <= "
+            << std::numeric_limits<T>::max() << " (got '" << *v << "')\n";
       }
-      return static_cast<int>(n);
+      return n;
     };
 
     if (arg == "--help" || arg == "-h") {
@@ -155,14 +157,6 @@ int run_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& 
     } else if (arg == "--fabric") {
       const auto v = value("--fabric");
       if (!v) return 2;
-      if (*v != "all") {
-        try {
-          (void)net::parse_fabric_kind(*v);
-        } catch (const Error& e) {
-          err << "rsd_bench: --fabric: " << e.what() << "\n";
-          return 2;
-        }
-      }
       options.fabric = *v;
     } else if (arg == "--gpus-per-chassis") {
       const auto v = int_value("--gpus-per-chassis", 1);
@@ -173,14 +167,9 @@ int run_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& 
       if (!v) return 2;
       options.runs = *v;
     } else if (arg == "--seed") {
-      const auto v = value("--seed");
+      const auto v = int_value("--seed", std::uint64_t{0});
       if (!v) return 2;
-      char* end = nullptr;
-      options.seed = std::strtoull(v->c_str(), &end, 10);
-      if (end == v->c_str() || *end != '\0') {
-        err << "rsd_bench: --seed expects an unsigned integer (got '" << *v << "')\n";
-        return 2;
-      }
+      options.seed = *v;
     } else if (arg == "--results-dir") {
       const auto v = value("--results-dir");
       if (!v) return 2;
@@ -229,7 +218,8 @@ int run_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& 
     }
   }
   options.out = &out;
-  // Context construction resolves the integer env-var knobs (RSD_THREADS,
+  // Context construction resolves the fabric selection (--fabric or
+  // RSD_FABRIC) and the integer env-var knobs (RSD_THREADS,
   // RSD_SIM_THREADS, RSD_GPUS_PER_CHASSIS), which reject malformed values
   // — a usage error, not a crash.
   std::optional<ExperimentContext> ctx_storage;
@@ -252,15 +242,22 @@ int run_cli(int argc, const char* const* argv, std::ostream& out, std::ostream& 
     out << "[trace] " << json_path.string() << " (" << snapshot.events.size() << " events";
     if (snapshot.dropped > 0) out << ", " << snapshot.dropped << " dropped";
     out << ")\n";
-    // NSys-style per-simulation ops CSVs, re-importable via trace::import.
+    // The NSys-style ops CSV of the first simulation the rings kept whole,
+    // re-importable via trace::import; a partial one would read as a
+    // different program.
     const auto sim_ids = trace::timeline_sim_ids(snapshot);
+    const auto csv_path = ctx.trace_dir() / "trace_ops.csv";
     if (!sim_ids.empty()) {
-      const auto csv_path = ctx.trace_dir() / "trace_ops.csv";
       const trace::Trace first = trace::from_timeline(snapshot, sim_ids.front());
       std::ofstream ops{csv_path, std::ios::trunc};
       ops << first.ops_to_csv();
-      out << "[trace] " << csv_path.string() << " (sim " << sim_ids.front() << " of "
-          << sim_ids.size() << " traced simulations)\n";
+      out << "[trace] " << csv_path.string() << " (sim " << sim_ids.front() << ", the first of "
+          << sim_ids.size() << " whole traced simulations)\n";
+    } else if (snapshot.max_dropped_sim_id >= 0) {
+      std::filesystem::remove(csv_path);
+      out << "[trace] no trace_ops.csv: no simulation survived whole in "
+          << snapshot.ring_capacity
+          << "-event rings; raise RSD_TRACE_BUFFER to keep one\n";
     }
   }
 

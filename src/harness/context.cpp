@@ -5,6 +5,7 @@
 
 #include "core/csv.hpp"
 #include "core/env.hpp"
+#include "core/error.hpp"
 #include "core/paths.hpp"
 #include "exec/team.hpp"
 #include "obs/tracer.hpp"
@@ -17,12 +18,18 @@ std::filesystem::path resolve_results_dir(const ExperimentContext::Options& opti
   return options.results_dir.empty() ? rsd::results_dir() : options.results_dir;
 }
 
-std::string resolve_fabric(const ExperimentContext::Options& options) {
-  if (!options.fabric.empty()) return options.fabric;
-  if (const char* env = std::getenv("RSD_FABRIC"); env != nullptr && env[0] != '\0') {
-    return env;
+std::vector<net::FabricKind> resolve_fabrics(const ExperimentContext::Options& options) {
+  const bool from_flag = !options.fabric.empty();
+  const char* env = std::getenv("RSD_FABRIC");
+  const std::string value = from_flag ? options.fabric : env != nullptr ? env : "";
+  if (value.empty() || value == "all") return net::all_fabric_kinds();
+  try {
+    return {net::parse_fabric_kind(value)};
+  } catch (const Error&) {
+    throw Error{ErrorCode::kInvalidArgument,
+                std::string{from_flag ? "--fabric" : "RSD_FABRIC"} +
+                    " expects ring, fullmesh, eswitch, ocs or all, got '" + value + "'"};
   }
-  return "all";
 }
 
 int resolve_gpus_per_chassis(const ExperimentContext::Options& options) {
@@ -38,7 +45,7 @@ ExperimentContext::ExperimentContext(Options options)
       runs_(options.runs >= 1 ? options.runs : 1),
       sim_threads_(options.sim_threads >= 1 ? options.sim_threads
                                             : exec::default_sim_thread_count()),
-      fabric_(resolve_fabric(options)),
+      fabrics_(resolve_fabrics(options)),
       gpus_per_chassis_(resolve_gpus_per_chassis(options)),
       seed_(options.seed),
       out_(options.out != nullptr ? options.out : &std::cout),

@@ -13,6 +13,7 @@
 
 #include "exec/pool.hpp"
 #include "harness/manifest.hpp"
+#include "interconnect/fabric.hpp"
 #include "proxy/sweep_cache.hpp"
 
 namespace rsd {
@@ -32,9 +33,11 @@ class ExperimentContext {
     /// (the RSD_SIM_THREADS env var, else 1). Tracked outputs are
     /// byte-identical at any value.
     int sim_threads = 0;
-    /// Row fabric for fabric-aware experiments ("ring", "fullmesh",
-    /// "eswitch", "ocs", or "all" to sweep). Empty resolves the RSD_FABRIC
-    /// env var, else "all" — mirroring the `--sim-threads` precedence.
+    /// Row fabric for fabric-aware experiments (a net::parse_fabric_kind
+    /// name, or "all" to sweep). Empty resolves the RSD_FABRIC env var,
+    /// else "all" — mirroring the `--sim-threads` precedence. Any other
+    /// value, from either source, throws rsd::Error{kInvalidArgument}
+    /// naming `--fabric` or RSD_FABRIC.
     std::string fabric;
     /// Chassis width for multi-chassis-aware experiments: devices per
     /// chassis in the machine graph (`--gpus-per-chassis` >
@@ -70,9 +73,9 @@ class ExperimentContext {
   [[nodiscard]] int sim_threads() const { return sim_threads_; }
 
   /// Resolved fabric selection for fabric-aware experiments
-  /// (`--fabric` > RSD_FABRIC > "all"). Either a net::parse_fabric_kind
-  /// name or "all".
-  [[nodiscard]] const std::string& fabric() const { return fabric_; }
+  /// (`--fabric` > RSD_FABRIC > "all"): one fabric, or all of
+  /// net::all_fabric_kinds() in that order.
+  [[nodiscard]] const std::vector<net::FabricKind>& fabrics() const { return fabrics_; }
 
   /// Resolved chassis width (`--gpus-per-chassis` > RSD_GPUS_PER_CHASSIS
   /// > 0). 0 = experiments keep their flat single-graph defaults.
@@ -106,7 +109,7 @@ class ExperimentContext {
   std::filesystem::path trace_dir_;
   int runs_;
   int sim_threads_;
-  std::string fabric_;
+  std::vector<net::FabricKind> fabrics_;
   int gpus_per_chassis_;
   std::uint64_t seed_;
   std::ostream* out_;

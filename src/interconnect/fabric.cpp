@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <utility>
 
 #include "core/error.hpp"
 
@@ -55,10 +54,14 @@ const std::vector<FabricKind>& all_fabric_kinds() {
 
 namespace {
 
-/// Rejects, by field name, a FabricParams the graph cannot carry: a
-/// bandwidth that is not finite and positive, a negative latency, and a
-/// flat mesh with more links than LinkId (int32) can number. Zero
-/// latencies are legal (a row checks its own ring edges).
+/// The row-network constants every fabric shares: switch forwarding, NIC,
+/// fibre and host-stub links of the default CDI network path.
+constexpr interconnect::CdiNetworkParams kRowNetwork{};
+
+/// Rejects, by field name, a FabricParams the graph cannot carry: a link
+/// bandwidth that is not finite and positive, a negative link latency,
+/// and a flat mesh with more links than LinkId (int32) can number. A zero
+/// latency is legal (a row checks its own ring edges).
 void check_params(const FabricParams& p) {
   const auto reject = [](const std::string& field, const std::string& rule) {
     throw Error{ErrorCode::kInvalidArgument,
@@ -69,26 +72,10 @@ void check_params(const FabricParams& p) {
   if (p.host_endpoint && !p.chassis_nics) {
     reject("host_endpoint", "requires chassis_nics (the host attaches behind nic0)");
   }
-  const std::pair<const char*, double> bandwidths[] = {
-      {"link_bandwidth_gib_s", p.link_bandwidth_gib_s},
-      {"nic_bandwidth_gib_s", p.nic_bandwidth_gib_s},
-      {"fibre_bandwidth_gib_s", p.fibre_bandwidth_gib_s},
-      {"host_bandwidth_gib_s", p.host_bandwidth_gib_s},
-  };
-  for (const auto& [field, gib_s] : bandwidths) {
-    if (!std::isfinite(gib_s) || gib_s <= 0.0) reject(field, "must be finite and > 0");
+  if (!std::isfinite(p.link_bandwidth_gib_s) || p.link_bandwidth_gib_s <= 0.0) {
+    reject("link_bandwidth_gib_s", "must be finite and > 0");
   }
-  const std::pair<const char*, SimDuration> latencies[] = {
-      {"link_latency", p.link_latency},
-      {"switch_hop_latency", p.switch_hop_latency},
-      {"ocs_reconfigure", p.ocs_reconfigure},
-      {"nic_latency", p.nic_latency},
-      {"fibre_latency", p.fibre_latency},
-      {"host_latency", p.host_latency},
-  };
-  for (const auto& [field, latency] : latencies) {
-    if (latency.ns() < 0) reject(field, "must be >= 0");
-  }
+  if (p.link_latency.ns() < 0) reject("link_latency", "must be >= 0");
   const auto gpus = static_cast<std::int64_t>(p.gpus);
   if (p.kind == FabricKind::kFullMesh && !p.chassis_nics &&
       gpus * (gpus - 1) - 1 > std::numeric_limits<LinkId>::max()) {
@@ -137,7 +124,7 @@ NodeId wire_chassis(Topology& topo, const FabricParams& params,
       const NodeId sw = topo.add_node(NodeDesc{.name = "eswitch" + suffix,
                                                .kind = NodeKind::kSwitch,
                                                .chassis = chassis,
-                                               .forward_latency = params.switch_hop_latency});
+                                               .forward_latency = kRowNetwork.per_hop_latency});
       for (const NodeId gpu : members) {
         topo.add_duplex(gpu, sw, LinkKind::kSwitch, params.link_bandwidth_gib_s,
                         params.link_latency);
@@ -179,12 +166,13 @@ void build_multi_chassis(Topology& topo, const FabricParams& params) {
     const NodeId attach = wire_chassis(topo, params, members, c);
     const NodeId nic = topo.add_node(
         NodeDesc{.name = "nic" + std::to_string(c), .kind = NodeKind::kNic, .chassis = c});
-    topo.add_duplex(attach, nic, LinkKind::kNic, params.nic_bandwidth_gib_s,
-                    params.nic_latency);
+    topo.add_duplex(attach, nic, LinkKind::kNic, kRowNetwork.bandwidth_gib_s,
+                    kRowNetwork.nic_latency);
     nics.push_back(nic);
   }
 
   if (chassis_count > 1) {
+    const SimDuration fibre = interconnect::fibre_delay(kRowNetwork.fibre_km);
     switch (params.kind) {
       case FabricKind::kRing:
         for (int c = 0; c < chassis_count; ++c) {
@@ -192,22 +180,20 @@ void build_multi_chassis(Topology& topo, const FabricParams& params) {
           if (chassis_count == 2 && c == 1) break;  // avoid doubling 0 <-> 1
           topo.add_duplex(nics[static_cast<std::size_t>(c)],
                           nics[static_cast<std::size_t>(next)], LinkKind::kFibre,
-                          params.fibre_bandwidth_gib_s, params.fibre_latency);
+                          kRowNetwork.bandwidth_gib_s, fibre);
         }
         break;
 
       case FabricKind::kFullMesh:
-        topo.add_full_mesh(nics, LinkKind::kFibre, params.fibre_bandwidth_gib_s,
-                           params.fibre_latency);
+        topo.add_full_mesh(nics, LinkKind::kFibre, kRowNetwork.bandwidth_gib_s, fibre);
         break;
 
       case FabricKind::kElectricalSwitch: {
         const NodeId row = topo.add_node(NodeDesc{.name = "row_eswitch",
                                                   .kind = NodeKind::kSwitch,
-                                                  .forward_latency = params.switch_hop_latency});
+                                                  .forward_latency = kRowNetwork.per_hop_latency});
         for (const NodeId nic : nics) {
-          topo.add_duplex(nic, row, LinkKind::kFibre, params.fibre_bandwidth_gib_s,
-                          params.fibre_latency);
+          topo.add_duplex(nic, row, LinkKind::kFibre, kRowNetwork.bandwidth_gib_s, fibre);
         }
         break;
       }
@@ -216,8 +202,7 @@ void build_multi_chassis(Topology& topo, const FabricParams& params) {
         const NodeId row = topo.add_node(
             NodeDesc{.name = "row_ocs", .kind = NodeKind::kSwitch, .optical = true});
         for (const NodeId nic : nics) {
-          topo.add_duplex(nic, row, LinkKind::kFibre, params.fibre_bandwidth_gib_s,
-                          params.fibre_latency);
+          topo.add_duplex(nic, row, LinkKind::kFibre, kRowNetwork.bandwidth_gib_s, fibre);
         }
         break;
       }
@@ -227,8 +212,8 @@ void build_multi_chassis(Topology& topo, const FabricParams& params) {
   if (params.host_endpoint) {
     const NodeId host =
         topo.add_node(NodeDesc{.name = "host0", .kind = NodeKind::kHost});
-    topo.add_duplex(host, nics.front(), LinkKind::kPcie, params.host_bandwidth_gib_s,
-                    params.host_latency);
+    topo.add_duplex(host, nics.front(), LinkKind::kPcie, kRowNetwork.bandwidth_gib_s,
+                    kRowNetwork.pcie_stub_latency);
   }
 }
 
@@ -248,7 +233,7 @@ Topology build_fabric(const FabricParams& params) {
     wire_chassis(topo, params, devices, -1);
   }
   if (params.kind == FabricKind::kOpticalCircuit) {
-    topo.set_ocs_reconfigure(params.ocs_reconfigure);
+    topo.set_ocs_reconfigure(kOcsReconfigure);
   }
   return topo;
 }

@@ -15,8 +15,14 @@
 //   * ocs               — an optical circuit switch: passive (no per-hop
 //                         forwarding cost, fibre-class ports) but each
 //                         ingress port drives one circuit at a time and
-//                         retargeting it pays `ocs_reconfigure` — the
+//                         retargeting it pays kOcsReconfigure — the
 //                         trade the fabric_compare experiment quantifies.
+//
+// The GPU ports are the one link a caller sets (FabricParams::link_*,
+// NVLink-class by default). Every row-network hop — an electrical
+// switch's forwarding cost, a NIC port, a fibre run, the host's PCIe
+// stub — reads the default interconnect::CdiNetworkParams, the same
+// constants the paper's slack is composed of, so the two cannot drift.
 //
 // A fabric name parses from the CLI/env (`--fabric` / RSD_FABRIC, see
 // harness::ExperimentContext): "ring", "fullmesh", "eswitch", "ocs".
@@ -46,20 +52,18 @@ enum class FabricKind : std::uint8_t {
 [[nodiscard]] FabricKind parse_fabric_kind(std::string_view name);
 [[nodiscard]] const std::vector<FabricKind>& all_fabric_kinds();
 
+/// Optical circuit retarget delay (fast MEMS/AWGR-class OCS).
+inline constexpr SimDuration kOcsReconfigure = duration::microseconds(100.0);
+
 struct FabricParams {
   FabricKind kind = FabricKind::kRing;
   int gpus = 8;
   /// Chassis grouping: device i belongs to chassis i / gpus_per_chassis
   /// (hierarchical collectives reduce inside a chassis first).
   int gpus_per_chassis = 8;
-  /// Per-port link characteristics (NVLink-class defaults).
-  double link_bandwidth_gib_s = 200.0;
-  SimDuration link_latency = duration::microseconds(2.0);
-  /// Electrical switch forwarding cost per traversal (matches
-  /// interconnect::CdiNetworkParams::per_hop_latency's scale).
-  SimDuration switch_hop_latency = duration::microseconds(0.12);
-  /// Optical circuit retarget delay (fast MEMS/AWGR-class OCS).
-  SimDuration ocs_reconfigure = duration::microseconds(100.0);
+  /// Per-port GPU link characteristics (interconnect::make_nvlink()).
+  double link_bandwidth_gib_s = interconnect::make_nvlink().bandwidth_gib_s;
+  SimDuration link_latency = interconnect::make_nvlink().latency;
 
   /// True multi-chassis graph emission: each chassis gains a kNic node
   /// wired to its member GPUs, and the fabric shape recurs at row scale
@@ -70,22 +74,17 @@ struct FabricParams {
   /// Also emit a kHost endpoint behind a PCIe stub into nic0 — the CDI
   /// host-side attach point replay's transport binding routes through.
   bool host_endpoint = false;
-  /// NIC/fibre/host-stub link characteristics. Defaults mirror
-  /// interconnect::CdiNetworkParams: 24 GiB/s fabric payload bandwidth,
-  /// 0.35 us per NIC traversal, 50 m of fibre, 8 us PCIe stub.
-  double nic_bandwidth_gib_s = 24.0;
-  SimDuration nic_latency = duration::microseconds(0.35);
-  double fibre_bandwidth_gib_s = 24.0;
-  SimDuration fibre_latency = interconnect::fibre_delay(0.05);
-  double host_bandwidth_gib_s = 24.0;
-  SimDuration host_latency = duration::microseconds(8.0);
 };
 
-/// Build the fabric's link graph. Throws rsd::Error{kInvalidArgument},
-/// naming the FabricParams field, on gpus < 1, gpus_per_chassis < 1,
-/// host_endpoint without chassis_nics, a bandwidth that is not finite and
-/// positive, a negative latency or ocs_reconfigure, or a flat full mesh
-/// of more than 46,341 GPUs (its link ids would overflow LinkId).
+/// Build the fabric's link graph. Switch forwarding, NIC, fibre and
+/// host-stub links take the default interconnect::CdiNetworkParams
+/// (per_hop_latency, nic_latency, fibre_km, pcie_stub_latency, all at its
+/// bandwidth_gib_s) and an optical switch retargets in kOcsReconfigure.
+/// Throws rsd::Error{kInvalidArgument}, naming the FabricParams field, on
+/// gpus < 1, gpus_per_chassis < 1, host_endpoint without chassis_nics, a
+/// link bandwidth that is not finite and positive, a negative link
+/// latency, or a flat full mesh of more than 46,341 GPUs (its link ids
+/// would overflow LinkId).
 [[nodiscard]] Topology build_fabric(const FabricParams& params);
 
 /// The event-driven collective algorithms layered over a fabric

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "interconnect/link.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
@@ -135,8 +136,8 @@ sim::Task<> Network::transfer(NodeId src, NodeId dst, Bytes bytes, TransferStats
     } else if (path.links.size() == 1) {
       ++express_;
     }
-    const SimDuration serialize = duration::seconds(
-        static_cast<double>(bytes) / (desc.bandwidth_gib_s * static_cast<double>(kGiB)));
+    const SimDuration serialize =
+        interconnect::serialization_time(static_cast<double>(bytes), desc.bandwidth_gib_s);
     state.booked.push(start + serialize);
     {
       LinkState::Bucket& arrival = bucket_at(state, now);

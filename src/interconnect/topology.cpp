@@ -5,6 +5,8 @@
 #include <tuple>
 #include <utility>
 
+#include "interconnect/link.hpp"
+
 namespace rsd::net {
 
 const char* to_string(NodeKind kind) {
@@ -355,14 +357,10 @@ Path Topology::route_dijkstra(NodeId src, NodeId dst) const {
   return walk_back(via, src, dst, dist[static_cast<std::size_t>(dst)]);
 }
 
-SimDuration transfer_time(SimDuration latency, double bottleneck_gib_s, Bytes bytes) {
-  return latency + duration::seconds(static_cast<double>(bytes) /
-                                     (bottleneck_gib_s * static_cast<double>(kGiB)));
-}
-
 SimDuration Topology::transfer_time(NodeId src, NodeId dst, Bytes bytes) const {
   const Path& p = route(src, dst);
-  return net::transfer_time(p.latency, p.bottleneck_gib_s, bytes);
+  return p.latency + interconnect::serialization_time(static_cast<double>(bytes),
+                                                      p.bottleneck_gib_s);
 }
 
 }  // namespace rsd::net

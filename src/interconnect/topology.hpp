@@ -107,13 +107,6 @@ struct Path {
   [[nodiscard]] bool valid() const { return !links.empty(); }
 };
 
-/// Analytic single-transfer cost over a path of this latency and bottleneck
-/// bandwidth: the fixed latency plus serialisation at the bottleneck link
-/// (cut-through; the event-driven Network charges per-link store-and-forward
-/// and queueing on top of contention).
-[[nodiscard]] SimDuration transfer_time(SimDuration latency, double bottleneck_gib_s,
-                                        Bytes bytes);
-
 class Topology {
  public:
   Topology() = default;
@@ -189,7 +182,9 @@ class Topology {
   /// Per-source table builds (full Dijkstra runs) so far.
   [[nodiscard]] std::uint64_t route_table_builds() const { return route_table_builds_; }
 
-  /// Analytic single-transfer cost over the routed path (net::transfer_time).
+  /// Analytic single-transfer cost over the routed path: its latency plus
+  /// serialisation at the bottleneck link (cut-through; the event-driven
+  /// Network charges per-link store-and-forward and queueing on top).
   [[nodiscard]] SimDuration transfer_time(NodeId src, NodeId dst, Bytes bytes) const;
 
   /// Circuit reconfiguration delay of every optical switch in this

@@ -60,6 +60,7 @@ void Tracer::clear() {
     ring->next = 0;
     ring->count = 0;
     ring->dropped = 0;
+    ring->max_dropped_sim_id = -1;
   }
 }
 
@@ -99,7 +100,10 @@ void Tracer::emit(Event e) {
   if (e.sim_id == kWallClock) e.track = ring.tid;
   if (ring.buf.empty()) return;  // capacity 0: count everything as dropped
   if (ring.count == ring.buf.size()) {
-    ++ring.dropped;  // overwrite the oldest slot
+    // Overwrite the oldest slot; a wall-clock event's kWallClock (-1)
+    // leaves the lost-sim watermark where it is.
+    ++ring.dropped;
+    ring.max_dropped_sim_id = std::max(ring.max_dropped_sim_id, ring.buf[ring.next].sim_id);
   } else {
     ++ring.count;
   }
@@ -182,6 +186,7 @@ Tracer::Snapshot Tracer::snapshot() const {
   for (const auto& ring : rings) {
     std::lock_guard<std::mutex> rk(ring->m);
     snap.dropped += ring->dropped;
+    snap.max_dropped_sim_id = std::max(snap.max_dropped_sim_id, ring->max_dropped_sim_id);
     // Oldest-first: the ring holds `count` events ending just before `next`.
     const std::size_t cap = ring->buf.size();
     for (std::size_t i = 0; i < ring->count; ++i) {

@@ -22,7 +22,9 @@
 // reduces to one relaxed atomic load and a branch. When enabled, an
 // emission takes one uncontended per-thread mutex and a slot write in a
 // fixed-capacity ring (oldest events are overwritten and counted as
-// dropped — tracing a long fleet can never exhaust memory).
+// dropped — tracing a long fleet can never exhaust memory). Each ring
+// remembers the highest sim id it overwrote, so an exporter can tell a
+// simulation that survived whole from one that lost its start.
 #pragma once
 
 #include <atomic>
@@ -162,6 +164,10 @@ class Tracer {
     std::vector<Event> events;
     std::uint64_t dropped = 0;  ///< Ring overwrites across all threads.
     std::size_t ring_capacity = 0;
+    /// The highest sim id among the simulated-domain events any ring
+    /// overwrote; -1 when none was lost. Every simulation above it is
+    /// whole in `events`.
+    std::int32_t max_dropped_sim_id = -1;
   };
 
   /// Copy out everything captured so far. Safe to call while other threads
@@ -177,6 +183,7 @@ class Tracer {
     std::size_t next = 0;    ///< Slot for the next event (wraps).
     std::size_t count = 0;   ///< Events currently held (<= capacity).
     std::uint64_t dropped = 0;
+    std::int32_t max_dropped_sim_id = -1;  ///< See Snapshot::max_dropped_sim_id.
     std::int32_t tid = 0;    ///< Wall-domain thread index.
   };
 

@@ -113,7 +113,7 @@ sim::Task<> async_proxy_thread(gpu::Device& device, interconnect::SlackInjector&
 void run_async_pipeline(const ProxyConfig& config, const gpu::DeviceParams& device_params,
                         const interconnect::LinkParams& link_params, ProxyResult& result) {
   sim::Scheduler sched;
-  gpu::Device device{sched, device_params, interconnect::Link{link_params}};
+  gpu::Device device{sched, device_params, link_params};
   trace::TraceRecorder recorder;
   if (config.capture_trace) device.set_record_sink(&recorder);
 
@@ -169,13 +169,6 @@ std::int64_t calibrate_iterations(SimDuration kernel_time, SimDuration target,
 
 ProxyRunner::ProxyRunner(gpu::DeviceParams device_params, interconnect::LinkParams link_params)
     : device_params_(std::move(device_params)), link_params_(std::move(link_params)) {}
-
-ProxyRunner::ProxyRunner() : ProxyRunner(gpu::DeviceParams{}, interconnect::LinkParams{}) {
-  const interconnect::Link pcie = interconnect::make_pcie_gen4_x16();
-  link_params_ = interconnect::LinkParams{.name = pcie.name(),
-                                          .latency = pcie.latency(),
-                                          .bandwidth_gib_s = pcie.bandwidth_gib_s()};
-}
 
 ProxyResult ProxyRunner::run(const ProxyConfig& config) const {
   RSD_ASSERT(config.matrix_n > 0);

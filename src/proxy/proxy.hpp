@@ -94,10 +94,9 @@ struct ProxyResult {
 /// Runs proxy configurations, each on a fresh simulated device.
 class ProxyRunner {
  public:
-  ProxyRunner(gpu::DeviceParams device_params, interconnect::LinkParams link_params);
-
   /// Defaults: A100-class device behind PCIe gen4 x16.
-  ProxyRunner();
+  explicit ProxyRunner(gpu::DeviceParams device_params = {},
+                       interconnect::LinkParams link_params = interconnect::make_pcie_gen4_x16());
 
   [[nodiscard]] const gpu::DeviceParams& device_params() const { return device_params_; }
   [[nodiscard]] const interconnect::LinkParams& link_params() const { return link_params_; }

@@ -84,8 +84,6 @@ class ParallelEngine {
     /// (the RSD_SIM_THREADS env var, else 1). Output is identical at any
     /// value — threads are a throughput knob, never a semantic one.
     int threads = 0;
-    /// Non-zero seeds `exec::Team` claim jitter (determinism stress tests).
-    std::uint64_t jitter_seed = 0;
   };
 
   /// `edges` is the lookahead graph: every remote send must travel a
@@ -97,7 +95,6 @@ class ParallelEngine {
       : threads_(options.threads > 0 ? options.threads : exec::default_sim_thread_count()),
         team_(threads_) {
     RSD_ASSERT(partitions >= 1);
-    if (options.jitter_seed != 0) team_.set_claim_jitter(options.jitter_seed);
     const auto n = static_cast<std::size_t>(partitions);
     parts_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -144,6 +141,11 @@ class ParallelEngine {
 
   [[nodiscard]] int size() const { return static_cast<int>(parts_.size()); }
   [[nodiscard]] int threads() const { return threads_; }
+
+  /// Seeded worker-claim jitter for determinism stress tests
+  /// (exec::Team::set_claim_jitter); 0 disables it. Set before run().
+  void set_claim_jitter(std::uint64_t seed) { team_.set_claim_jitter(seed); }
+
   [[nodiscard]] Partition& partition(PartitionId id) {
     return *parts_.at(static_cast<std::size_t>(id));
   }

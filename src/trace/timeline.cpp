@@ -34,7 +34,7 @@ std::vector<std::int32_t> timeline_sim_ids(const obs::Tracer::Snapshot& snapshot
   std::vector<std::int32_t> ids;
   for (const obs::Event& e : snapshot.events) {
     gpu::OpKind kind;
-    if (e.phase != obs::Phase::kComplete || e.sim_id < 0) continue;
+    if (e.phase != obs::Phase::kComplete || e.sim_id <= snapshot.max_dropped_sim_id) continue;
     if (!is_category(e, "gpu") || !op_track(e.track, kind)) continue;
     ids.push_back(e.sim_id);
   }

@@ -1,5 +1,6 @@
 #include "wl/replay.hpp"
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -157,9 +158,7 @@ ReplayResult ReplayEngine::run(const Program& program, const ReplayOptions& opti
     }
     chassis.emplace(sched, std::move(params));
   } else {
-    device.emplace(sched, node_.device_params,
-                   node_.link ? interconnect::Link{*node_.link}
-                              : interconnect::make_pcie_gen4_x16());
+    device.emplace(sched, node_.device_params, node_.link);
   }
 
   trace::TraceRecorder recorder;

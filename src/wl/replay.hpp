@@ -19,12 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/units.hpp"
 #include "gpusim/chassis.hpp"
-#include "gpusim/collective.hpp"
 #include "gpusim/context.hpp"
 #include "gpusim/device.hpp"
 #include "interconnect/fabric.hpp"
@@ -35,16 +33,16 @@
 namespace rsd::wl {
 
 /// The simulated node a program runs on. `chassis_gpus == 0` builds one
-/// device behind `link` (PCIe gen4 x16 when unset); > 0 builds a CDI
-/// chassis of that many devices on `fabric` (lanes pick devices by index).
+/// device behind host link `link`; > 0 builds a CDI chassis of that many
+/// devices on `fabric` (lanes pick devices by index).
 /// The chassis' GPU<->GPU traffic is routed over a `net::Topology` of
 /// shape `fabric_kind`; `kAllReduce` ops execute as the chassis' ring
 /// allreduce scheduled over that machine model.
 struct NodeParams {
   gpu::DeviceParams device_params{};
-  std::optional<interconnect::LinkParams> link{};
+  interconnect::LinkParams link = interconnect::make_pcie_gen4_x16();
   int chassis_gpus = 0;
-  gpu::GpuInterconnect fabric = gpu::make_nvlink();
+  interconnect::LinkParams fabric = interconnect::make_nvlink();
   net::FabricKind fabric_kind = net::FabricKind::kFullMesh;
   /// > 0 (with chassis_gpus set): build a true multi-chassis machine graph
   /// — per-chassis NICs, inter-chassis fibre, a CDI host endpoint — and

@@ -142,9 +142,9 @@ TEST(CosmoflowMultiGpu, ChassisFabricBeatsScattered) {
   cfg.base.batch = 4;
   cfg.gpus = 8;
   cfg.gradient_bytes = 256 * kMiB;  // heavy exchange accentuates the fabric
-  cfg.fabric = gpu::make_nvlink();
+  cfg.fabric = interconnect::make_nvlink();
   const auto chassis = run_cosmoflow_multi_gpu(cfg);
-  cfg.fabric = gpu::make_scattered();
+  cfg.fabric = interconnect::make_cdi_link();
   const auto scattered = run_cosmoflow_multi_gpu(cfg);
   EXPECT_LT(chassis.runtime, scattered.runtime);
 }

@@ -128,7 +128,7 @@ TEST(Chassis, PhasesAreBulkSynchronous) {
 }
 
 TEST(Chassis, ScatteredFabricIsSlower) {
-  auto run = [](const GpuInterconnect& fabric) {
+  auto run = [](const interconnect::LinkParams& fabric) {
     sim::Scheduler sched;
     ChassisParams params;
     params.gpus = 8;
@@ -136,7 +136,7 @@ TEST(Chassis, ScatteredFabricIsSlower) {
     Chassis chassis{sched, params};
     return run_allreduce(chassis, sched, net::Algorithm::kRing, 256 * kMiB, 8);
   };
-  EXPECT_LT(run(make_nvlink()), run(make_scattered()));
+  EXPECT_LT(run(interconnect::make_nvlink()), run(interconnect::make_cdi_link()));
 }
 
 TEST(Chassis, SubsetParticipation) {

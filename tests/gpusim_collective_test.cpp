@@ -6,6 +6,10 @@ namespace rsd::gpu {
 namespace {
 
 using namespace rsd::literals;
+using interconnect::LinkParams;
+using interconnect::make_cdi_link;
+using interconnect::make_nvlink;
+using interconnect::make_pcie_p2p;
 
 TEST(Collective, SingleGpuIsFree) {
   EXPECT_EQ(ring_allreduce_time(kGiB, 1, make_nvlink()), SimDuration::zero());
@@ -14,14 +18,14 @@ TEST(Collective, SingleGpuIsFree) {
 
 TEST(Collective, RingFormula) {
   // 2 GPUs, 2 GiB at 1 GiB/s, zero latency: 2*(2-1) steps of 1 GiB = 2 s.
-  const GpuInterconnect link{"t", 1.0, SimDuration::zero()};
+  const LinkParams link{"t", 1.0, SimDuration::zero()};
   EXPECT_NEAR(ring_allreduce_time(2 * kGiB, 2, link).seconds(), 2.0, 1e-9);
   // 4 GPUs: 6 steps of 0.5 GiB = 3 s.
   EXPECT_NEAR(ring_allreduce_time(2 * kGiB, 4, link).seconds(), 3.0, 1e-9);
 }
 
 TEST(Collective, TreeFormula) {
-  const GpuInterconnect link{"t", 1.0, SimDuration::zero()};
+  const LinkParams link{"t", 1.0, SimDuration::zero()};
   // 4 GPUs: 2*log2(4) = 4 steps of the full 1 GiB = 4 s.
   EXPECT_NEAR(tree_allreduce_time(kGiB, 4, link).seconds(), 4.0, 1e-9);
 }
@@ -32,7 +36,7 @@ TEST(Collective, RingBandwidthOptimalForLargeMessages) {
 }
 
 TEST(Collective, TreeLatencyOptimalForTinyMessages) {
-  const auto link = make_scattered();  // high latency path
+  const auto link = make_cdi_link();  // GPUs scattered over the row: high latency
   EXPECT_LT(tree_allreduce_time(4 * kKiB, 16, link),
             ring_allreduce_time(4 * kKiB, 16, link));
 }
@@ -50,7 +54,7 @@ TEST(Collective, ChassisBeatsScatteredAtEveryScale) {
   // The Discussion's claim: chassis-coupled GPUs accelerate collectives.
   const auto chassis = make_nvlink();
   interconnect::CdiNetworkParams row;
-  const auto scattered = make_scattered(row);
+  const auto scattered = make_cdi_link(row);
   for (const int gpus : {2, 4, 8, 16, 24}) {
     for (const Bytes b : {Bytes{kMiB}, Bytes{64 * kMiB}, Bytes{kGiB}}) {
       EXPECT_LT(best_allreduce_time(b, gpus, chassis),
@@ -72,7 +76,7 @@ TEST(Collective, MonotoneInBytes) {
 
 TEST(Collective, FactoriesHaveExpectedOrdering) {
   EXPECT_GT(make_nvlink().bandwidth_gib_s, make_pcie_p2p().bandwidth_gib_s);
-  EXPECT_GT(make_scattered().latency, make_nvlink().latency);
+  EXPECT_GT(make_cdi_link().latency, make_nvlink().latency);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,23 @@ TEST(MemoryPool, PaperExclusionThreeFourGiBMatricesTimesFourThreads) {
     EXPECT_EQ(e.code(), ErrorCode::kOutOfMemory);
   }
   EXPECT_EQ(allocated_threads, 3);  // 3 threads fit (36 GiB), the 4th does not
+}
+
+TEST(Device, RejectsAHostLinkBandwidthThatIsNotFiniteAndPositive) {
+  for (const double bad : {0.0, -24.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    sim::Scheduler sched;
+    interconnect::LinkParams link = interconnect::make_pcie_gen4_x16();
+    link.bandwidth_gib_s = bad;
+    try {
+      Device dev{sched, test_params(), link};
+      ADD_FAILURE() << "accepted host-link bandwidth " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << bad;
+      EXPECT_NE(std::string{e.what()}.find("LinkParams::bandwidth_gib_s"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Device, MatmulDurationFollowsCubicCostModel) {

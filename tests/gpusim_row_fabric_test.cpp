@@ -94,20 +94,29 @@ TEST(RowFabric, ZeroLatencyFabricIsRejected) {
           << label << ": " << e.what();
     }
   };
+  const net::Topology free_ring =
+      net::build_fabric({.gpus = 4, .link_latency = SimDuration::zero()});
   RowParams flat;
   flat.gpus = 4;
-  flat.fabric.latency = SimDuration::zero();
+  flat.topology = &free_ring;
   expect_rejected(flat, "flat ring");
 
   // A shared multi-chassis graph whose only zero-latency paths cross
   // chassis: one GPU per chassis, free NIC and fibre hops.
-  net::FabricParams fparams;
-  fparams.gpus = 4;
-  fparams.gpus_per_chassis = 1;
-  fparams.chassis_nics = true;
-  fparams.nic_latency = SimDuration::zero();
-  fparams.fibre_latency = SimDuration::zero();
-  const net::Topology topo = net::build_fabric(fparams);
+  net::Topology topo;
+  std::vector<net::NodeId> nics;
+  for (int c = 0; c < 4; ++c) {
+    topo.add_node({.name = "gpu" + std::to_string(c), .kind = net::NodeKind::kGpu, .chassis = c});
+  }
+  for (int c = 0; c < 4; ++c) {
+    const std::string name = "nic" + std::to_string(c);
+    nics.push_back(topo.add_node({.name = name, .kind = net::NodeKind::kNic, .chassis = c}));
+    topo.add_duplex(topo.device(c), nics.back(), net::LinkKind::kNic, 24.0, SimDuration::zero());
+  }
+  for (std::size_t c = 0; c < nics.size(); ++c) {
+    topo.add_duplex(nics[c], nics[(c + 1) % nics.size()], net::LinkKind::kFibre, 24.0,
+                    SimDuration::zero());
+  }
   RowParams shared;
   shared.gpus = 4;
   shared.gpus_per_chassis = 1;
@@ -196,9 +205,11 @@ TEST(RowFabric, SingleGpuRowStillRuns) {
   // One rank has no ring edge and so no link to price: even a zero link
   // latency is accepted, the engine declares no lookahead edge, the run
   // drains in one epoch, and the allreduce is a no-op.
+  const net::Topology free_link =
+      net::build_fabric({.gpus = 1, .link_latency = SimDuration::zero()});
   RowParams params;
   params.gpus = 1;
-  params.fabric.latency = SimDuration::zero();
+  params.topology = &free_link;
   PartitionedRow row{params};
   EXPECT_GT(row.run_training(small_training()), SimTime::zero());
   EXPECT_EQ(row.engine().epochs(), 1u);

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/error.hpp"
 #include "harness/cli.hpp"
@@ -408,6 +409,52 @@ TEST(Cli, GpusPerChassisFlagRejectsNonPositive) {
   EXPECT_EQ(cli({"--gpus-per-chassis", "0"}, &out, &err), 2);
   EXPECT_NE(err.find("--gpus-per-chassis"), std::string::npos);
   EXPECT_NE(err.find(">= 1"), std::string::npos);
+}
+
+TEST(Cli, IntegerFlagsRejectValuesTheirTypeCannotHold) {
+  // Each of these once parsed and ran: --threads wrapped to 1, --sim-threads
+  // to -1 (the default width), --seed -1 to 2^64 - 1.
+  for (const auto& [flag, bad] : {std::pair{"--threads", "4294967297"},
+                                  std::pair{"--sim-threads", "4294967295"},
+                                  std::pair{"--seed", "-1"},
+                                  std::pair{"--seed", "18446744073709551616"},
+                                  std::pair{"--runs", "+3"},
+                                  std::pair{"--gpus-per-chassis", " 4"}}) {
+    std::string err;
+    EXPECT_EQ(cli({"--list", flag, bad}, nullptr, &err), 2) << flag << " " << bad;
+    EXPECT_NE(err.find(flag), std::string::npos) << err;
+    EXPECT_NE(err.find(bad), std::string::npos) << err;
+  }
+  // Each type's largest value still parses.
+  EXPECT_EQ(cli({"--list", "--seed", "18446744073709551615", "--threads", "2147483647"}), 0);
+}
+
+TEST(Cli, FabricSelectionIsCheckedUpFront) {
+  const fs::path dir = fresh_temp_dir("rsd_bad_fabric");
+  ScopedEnv env{"RSD_FABRIC"};
+  env.set("bogus");
+  std::string err;
+  EXPECT_EQ(cli({"fabric_compare", "--results-dir", dir.string()}, nullptr, &err), 2);
+  EXPECT_NE(err.find("RSD_FABRIC"), std::string::npos) << err;
+  EXPECT_NE(err.find("bogus"), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(dir / "run_manifest.json"));
+
+  env.unset();
+  EXPECT_EQ(cli({"fabric_compare", "--fabric", "bogus", "--results-dir", dir.string()},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("--fabric"), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(dir / "run_manifest.json"));
+
+  // A valid name narrows the selection; "all", like no selection, sweeps all.
+  std::ostringstream sink;
+  EXPECT_EQ(ExperimentContext{quiet_options(dir, &sink)}.fabrics(), rsd::net::all_fabric_kinds());
+  env.set("optical");
+  EXPECT_EQ(ExperimentContext{quiet_options(dir, &sink)}.fabrics(),
+            std::vector{rsd::net::FabricKind::kOpticalCircuit});
+  auto options = quiet_options(dir, &sink);
+  options.fabric = "all";  // the flag wins over the environment
+  EXPECT_EQ(ExperimentContext{options}.fabrics(), rsd::net::all_fabric_kinds());
 }
 
 // The tentpole's perf claim: every consumer of the Figure-3 response

@@ -112,9 +112,8 @@ TEST(NetSchedule, RejectsBadParticipantCountsNamingThem) {
   }
 }
 
-gpu::GpuInterconnect analytic_link(const FabricParams& params) {
-  return gpu::GpuInterconnect{"fabric-link", params.link_bandwidth_gib_s,
-                              params.link_latency};
+interconnect::LinkParams analytic_link(const FabricParams& params) {
+  return {"fabric-link", params.link_bandwidth_gib_s, params.link_latency};
 }
 
 TEST(NetCollective, RingMatchesClosedFormOnFullMesh) {
@@ -160,8 +159,8 @@ TEST(NetCollective, HierarchicalSingleChassisIsRingPlusFanOut) {
   const AllreduceReport report =
       measure_allreduce(topo, Algorithm::kHierarchical, kPayload, kGpus);
 
-  const gpu::GpuInterconnect link = analytic_link(params);
-  const SimDuration fan_out = gpu::detail::transfer(link, static_cast<double>(kPayload));
+  const interconnect::LinkParams link = analytic_link(params);
+  const SimDuration fan_out = interconnect::transfer_time(link, static_cast<double>(kPayload));
   EXPECT_EQ(report.duration, gpu::ring_allreduce_time(kPayload, kGpus, link) + fan_out);
   EXPECT_EQ(report.contended_transfers, 0u);
 }
@@ -176,10 +175,10 @@ TEST(NetCollective, HierarchicalChassisRingsRunConcurrently) {
   const AllreduceReport report =
       measure_allreduce(topo, Algorithm::kHierarchical, kPayload, kGpus);
 
-  const gpu::GpuInterconnect link = analytic_link(params);
+  const interconnect::LinkParams link = analytic_link(params);
   EXPECT_EQ(report.duration, gpu::ring_allreduce_time(kPayload, kGpus / 2, link) +
                                  gpu::ring_allreduce_time(kPayload, 2, link) +
-                                 gpu::detail::transfer(link, static_cast<double>(kPayload)));
+                                 interconnect::transfer_time(link, static_cast<double>(kPayload)));
   EXPECT_EQ(report.contended_transfers, 0u);
 }
 

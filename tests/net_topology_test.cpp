@@ -114,15 +114,16 @@ TEST(Fabric, ShapesHaveExpectedStructure) {
   EXPECT_EQ(eswitch.node(8).chassis, -1);
   const Path& via_switch = eswitch.route(eswitch.device(0), eswitch.device(7));
   EXPECT_EQ(via_switch.links.size(), 2u);
-  EXPECT_EQ(via_switch.latency,
-            params.link_latency + params.switch_hop_latency + params.link_latency);
+  EXPECT_EQ(via_switch.latency, params.link_latency +
+                                    interconnect::CdiNetworkParams{}.per_hop_latency +
+                                    params.link_latency);
 
   params.kind = FabricKind::kOpticalCircuit;
   const Topology ocs = build_fabric(params);
   EXPECT_EQ(ocs.node(8).name, "ocs");
   EXPECT_EQ(ocs.node(8).chassis, -1);
   EXPECT_EQ(ocs.route(ocs.device(0), ocs.device(7)).optical_hops, 1);
-  EXPECT_EQ(ocs.ocs_reconfigure(), params.ocs_reconfigure);
+  EXPECT_EQ(ocs.ocs_reconfigure(), kOcsReconfigure);
   EXPECT_EQ(eswitch.route(eswitch.device(0), eswitch.device(7)).optical_hops, 0);
 }
 
@@ -325,6 +326,7 @@ TEST(Topology, MeshIdsNearTheLinkIdLimitDecode) {
 /// member pair — chassis meshes, NIC attach links, the NIC mesh and the
 /// host stub, in build_fabric's order.
 Topology explicit_fullmesh(const FabricParams& p) {
+  const interconnect::CdiNetworkParams row;  // build_fabric's row-network links
   Topology topo;
   for (int i = 0; i < p.gpus; ++i) {
     topo.add_node(NodeDesc{.name = "gpu" + std::to_string(i),
@@ -354,14 +356,14 @@ Topology explicit_fullmesh(const FabricParams& p) {
     mesh(members, LinkKind::kNvlink, p.link_bandwidth_gib_s, p.link_latency);
     nics.push_back(topo.add_node(
         NodeDesc{.name = "nic" + std::to_string(c), .kind = NodeKind::kNic, .chassis = c}));
-    topo.add_duplex(members.front(), nics.back(), LinkKind::kNic, p.nic_bandwidth_gib_s,
-                    p.nic_latency);
+    topo.add_duplex(members.front(), nics.back(), LinkKind::kNic, row.bandwidth_gib_s,
+                    row.nic_latency);
   }
-  mesh(nics, LinkKind::kFibre, p.fibre_bandwidth_gib_s, p.fibre_latency);
+  mesh(nics, LinkKind::kFibre, row.bandwidth_gib_s, interconnect::fibre_delay(row.fibre_km));
   if (p.host_endpoint) {
     const NodeId host = topo.add_node(NodeDesc{.name = "host0", .kind = NodeKind::kHost});
-    topo.add_duplex(host, nics.front(), LinkKind::kPcie, p.host_bandwidth_gib_s,
-                    p.host_latency);
+    topo.add_duplex(host, nics.front(), LinkKind::kPcie, row.bandwidth_gib_s,
+                    row.pcie_stub_latency);
   }
   return topo;
 }
@@ -507,24 +509,8 @@ INSTANTIATE_TEST_SUITE_P(
                  [](FabricParams& p) { p.link_bandwidth_gib_s = kNaN; }},
         BadParam{"link_bandwidth_inf", "link_bandwidth_gib_s",
                  [](FabricParams& p) { p.link_bandwidth_gib_s = kInf; }},
-        BadParam{"nic_bandwidth_negative", "nic_bandwidth_gib_s",
-                 [](FabricParams& p) { p.nic_bandwidth_gib_s = -24.0; }},
-        BadParam{"fibre_bandwidth_nan", "fibre_bandwidth_gib_s",
-                 [](FabricParams& p) { p.fibre_bandwidth_gib_s = kNaN; }},
-        BadParam{"host_bandwidth_inf", "host_bandwidth_gib_s",
-                 [](FabricParams& p) { p.host_bandwidth_gib_s = kInf; }},
         BadParam{"link_latency", "link_latency",
-                 [](FabricParams& p) { p.link_latency = kNegative; }},
-        BadParam{"switch_hop_latency", "switch_hop_latency",
-                 [](FabricParams& p) { p.switch_hop_latency = kNegative; }},
-        BadParam{"ocs_reconfigure", "ocs_reconfigure",
-                 [](FabricParams& p) { p.ocs_reconfigure = kNegative; }},
-        BadParam{"nic_latency", "nic_latency",
-                 [](FabricParams& p) { p.nic_latency = kNegative; }},
-        BadParam{"fibre_latency", "fibre_latency",
-                 [](FabricParams& p) { p.fibre_latency = kNegative; }},
-        BadParam{"host_latency", "host_latency",
-                 [](FabricParams& p) { p.host_latency = kNegative; }}),
+                 [](FabricParams& p) { p.link_latency = kNegative; }}),
     [](const testing::TestParamInfo<BadParam>& info) { return std::string{info.param.name}; });
 
 TEST(Fabric, ZeroLatenciesAreLegal) {
@@ -534,11 +520,6 @@ TEST(Fabric, ZeroLatenciesAreLegal) {
   params.chassis_nics = true;
   params.host_endpoint = true;
   params.link_latency = SimDuration::zero();
-  params.switch_hop_latency = SimDuration::zero();
-  params.ocs_reconfigure = SimDuration::zero();
-  params.nic_latency = SimDuration::zero();
-  params.fibre_latency = SimDuration::zero();
-  params.host_latency = SimDuration::zero();
   for (const FabricKind kind : all_fabric_kinds()) {
     params.kind = kind;
     EXPECT_NO_THROW((void)build_fabric(params)) << to_string(kind);

@@ -15,6 +15,8 @@
 #include "proxy/proxy.hpp"
 #include "trace/import.hpp"
 #include "trace/timeline.hpp"
+#include "wl/program.hpp"
+#include "wl/replay.hpp"
 
 namespace {
 
@@ -63,6 +65,57 @@ TEST(ObsRoundtrip, TimelineRebuildsTheDirectTrace) {
     EXPECT_EQ(a.bytes, b.bytes);
   }
   EXPECT_EQ(rebuilt.apis().size(), baseline.trace->apis().size());
+}
+
+/// One lane of copies and kernels: a simulation of a few hundred events.
+wl::Program small_program() {
+  wl::Program program;
+  wl::Lane& lane = program.lanes.emplace_back();
+  const std::int32_t buffer = lane.add_buffer(kMiB);
+  for (int i = 0; i < 8; ++i) {
+    lane.h2d(buffer);
+    lane.kernel(NameRef{"k"}, duration::microseconds(40.0 + i));
+    lane.d2h(buffer);
+  }
+  return program;
+}
+
+TEST(ObsRoundtrip, OverflowedRingsExportOnlyWholeSimulations) {
+  const wl::ReplayEngine engine{wl::NodeParams{}};
+  const wl::Program program = small_program();
+  wl::ReplayOptions options;
+  options.capture_trace = true;
+  auto& tracer = obs::Tracer::instance();
+
+  // Size the ring from one traced run: room for one simulation and a half.
+  tracer.enable(std::size_t{1} << 12);
+  (void)engine.run(program, options);
+  const auto alone = tracer.snapshot();
+  ASSERT_EQ(alone.dropped, 0u);
+  const std::size_t per_run = alone.events.size();
+  ASSERT_GT(per_run, 0u);
+
+  tracer.enable(per_run + per_run / 2);
+  (void)engine.run(program, options);
+  const wl::ReplayResult second = engine.run(program, options);
+  const auto snapshot = tracer.snapshot();
+  tracer.disable();
+
+  // The first simulation lost its start; only the second is whole, and its
+  // export is what its own recorder captured.
+  ASSERT_GT(snapshot.dropped, 0u);
+  const auto sim_ids = trace::timeline_sim_ids(snapshot);
+  ASSERT_EQ(sim_ids.size(), 1u);
+  EXPECT_GT(sim_ids.front(), snapshot.max_dropped_sim_id);
+  EXPECT_EQ(trace::from_timeline(snapshot).ops_to_csv(), second.trace.ops_to_csv());
+
+  // Rings too small for any whole simulation leave nothing to export.
+  tracer.enable(per_run / 2);
+  (void)engine.run(program, options);
+  const auto starved = tracer.snapshot();
+  tracer.disable();
+  EXPECT_TRUE(trace::timeline_sim_ids(starved).empty());
+  EXPECT_GE(starved.max_dropped_sim_id, 0);
 }
 
 TEST(ObsRoundtrip, EmittedTracePredictsSimulatedPenaltyWithinBand) {

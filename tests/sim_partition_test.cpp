@@ -249,7 +249,8 @@ std::vector<std::pair<std::int64_t, int>> run_ring(int partitions, int threads,
     edges.push_back(LookaheadEdge{static_cast<PartitionId>(p),
                                   static_cast<PartitionId>((p + 1) % partitions), edge});
   }
-  ParallelEngine eng{partitions, edges, {.threads = threads, .jitter_seed = jitter_seed}};
+  ParallelEngine eng{partitions, edges, {.threads = threads}};
+  eng.set_claim_jitter(jitter_seed);
   std::vector<Log> logs(static_cast<std::size_t>(partitions));
 
   struct Token {
